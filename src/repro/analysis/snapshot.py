@@ -1,9 +1,9 @@
 """Warm-system snapshots: build each workload's memory image once, reuse it.
 
-Every (workload, scheme) sweep task — fig7/fig11/fig12 shards, perfbench
-rounds, the golden-stats pairs — starts by populating an identical process
-memory: allocate frames, fill page tables, insert every flow/object/item
-into the data structure.  That setup is pure function of the workload name
+Every (workload, scheme) sweep task — fig7/fig11/fig12 shards, the
+golden-stats pairs — starts by populating an identical process memory:
+allocate frames, fill page tables, insert every flow/object/item into the
+data structure.  That setup is pure function of the workload name
 and its parameters; only the *runs* afterwards depend on the integration
 scheme.  So we capture the functional state once per (workload, params)
 — the :class:`~repro.datastructs.base.ProcessMemory` (physical frames,
@@ -25,14 +25,13 @@ Snapshots apply only to default-config systems (``config is None``);
 custom configs (fig8's latency sweep) always build fresh, mirroring the
 ``_PAIR_MEMO`` policy in :mod:`repro.analysis.experiments`.
 
-Set ``QEI_NO_SNAPSHOT=1`` (or pass ``--no-snapshot`` to ``python -m
-repro``) to disable and rebuild everything from scratch.
+Pass ``--no-snapshot`` to ``python -m repro`` (or call
+:func:`set_enabled`) to disable and rebuild everything from scratch.
 """
 
 from __future__ import annotations
 
 import copy
-import os
 import sys
 from typing import Dict, Optional, Set, Tuple
 
@@ -63,7 +62,8 @@ def _deepcopy(obj):
     finally:
         sys.setrecursionlimit(old)
 
-_enabled = os.environ.get("QEI_NO_SNAPSHOT", "").lower() not in ("1", "true", "yes")
+
+_enabled = True
 
 
 def enabled() -> bool:

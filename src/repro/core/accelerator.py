@@ -23,8 +23,9 @@ long as the next transition is provably the globally next thing to happen:
 its start cycle must precede every pending engine event
 (:meth:`~repro.sim.engine.Engine.peek_time`) and stay inside the active
 run's horizon.  The moment either condition fails, the loop falls back to
-the event-driven path, which is byte-for-byte the pre-fusion interpreter —
-and ``QEI_NO_FUSION=1`` forces that reference path for every transition.
+the event-driven path, which is byte-for-byte the pre-fusion interpreter;
+tests force that reference path for every transition by patching the
+class-level ``QeiAccelerator._fuse`` seam to ``False``.
 Completions and faults reached at a virtual time ahead of the engine clock
 are deferred to an event at that cycle, so the completion machinery (result
 writes, QST release, queue drain, quiesce callbacks) always observes the
@@ -47,16 +48,16 @@ path would have allocated its event's sequence number, the drain executes
 steps in precisely the order the one-event-per-transition interpreter
 would, interleaved correctly against ordinary engine events
 (:meth:`~repro.sim.engine.Engine.peek_key` decides who goes first on
-same-cycle ties).  ``QEI_NO_SPECIALIZE=1`` forces the generic interpreter
-for every query, mirroring ``QEI_NO_FUSION``, and the golden-stats suite
-pins all four {fusion, specialize} mode combinations to identical output.
+same-cycle ties).  Patching the ``QeiAccelerator._specialize`` seam to
+``False`` forces the generic interpreter for every query, and the
+golden-stats suite pins the default and the full-reference configuration
+to identical output.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
@@ -189,6 +190,12 @@ class QeiAccelerator:
     centralized hardware, with per-query homes chosen by the integration.
     """
 
+    #: Test seams for the reference interpreters (see module docstring).
+    #: Tests patch these class attributes to ``False`` before construction
+    #: to force the unfused / generic one-event-per-transition paths.
+    _fuse = True
+    _specialize = True
+
     def __init__(
         self,
         engine: Engine,
@@ -221,17 +228,10 @@ class QeiAccelerator:
         # One CEE clock per accelerator instance: keyed by the home node, so
         # distributed (per-CHA / per-core) engines pipeline independently.
         self._cee_free_at: Dict[int, int] = {}
-        #: Macro-step fusion switch (see module docstring).  QEI_NO_FUSION=1
-        #: forces the unfused one-event-per-transition reference interpreter.
-        self._fuse = os.environ.get("QEI_NO_FUSION", "").lower() not in (
-            "1", "true", "yes",
-        )
-        #: CFA specialization switch (see module docstring and
-        #: repro/core/specialize.py).  QEI_NO_SPECIALIZE=1 forces the
-        #: generic one-event-per-transition interpreter for every query.
-        self._specialize = os.environ.get("QEI_NO_SPECIALIZE", "").lower() not in (
-            "1", "true", "yes",
-        )
+        # Copy the seams into the instance so the hot loops read a plain
+        # instance attribute.
+        self._fuse = type(self)._fuse
+        self._specialize = type(self)._specialize
         # Compiled firmware tables, rebuilt lazily whenever firmware.epoch
         # moves (initial load, runtime register(), hot-swap adopt()).
         self._compiled_epoch = -1

@@ -47,17 +47,16 @@ Replay then reproduces the slow path's *entire* effect:
 * The frozen :class:`~repro.mem.hierarchy.AccessResult` instance itself is
   reused — same latency, level, home and hop count by construction.
 
-``QEI_NO_FASTMEM=1`` disables the layer (mirroring ``QEI_NO_FUSION`` /
-``QEI_NO_SPECIALIZE``); the golden-stats suite proves both modes
-cycle-bit-identical, and ``tests/test_fastmem_properties.py`` drives
-memoized and un-memoized hierarchies in lockstep through random access
-streams asserting equal results and equal final state.
+``MemoryHierarchy(fastmem=False)`` builds the un-memoized reference; the
+golden-stats suite proves both cycle-bit-identical, and
+``tests/test_fastmem_properties.py`` drives memoized and un-memoized
+hierarchies in lockstep through random access streams asserting equal
+results and equal final state.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..config import CACHELINE_BYTES
 from .cache import CacheLevelName
@@ -65,13 +64,6 @@ from .cache import CacheLevelName
 _L1 = CacheLevelName.L1
 _L2 = CacheLevelName.L2
 _LLC = CacheLevelName.LLC
-
-
-def enabled(override: Optional[bool] = None) -> bool:
-    """Is the epoch-memoized fast path on?  ``QEI_NO_FASTMEM=1`` disables."""
-    if override is not None:
-        return override
-    return os.environ.get("QEI_NO_FASTMEM", "").lower() not in ("1", "true", "yes")
 
 
 class FastMem:

@@ -58,7 +58,7 @@ class MemoryHierarchy:
         hop_latency: Optional[Callable[[int, int], int]] = None,
         noc_charge: Optional[Callable[[int, int, int, int], None]] = None,
         noc=None,
-        fastmem: Optional[bool] = None,
+        fastmem: bool = True,
     ) -> None:
         """Build the hierarchy.
 
@@ -69,8 +69,9 @@ class MemoryHierarchy:
             noc: a :class:`~repro.noc.mesh.MeshNoc` to wire directly —
                 supplies ``hop_latency``/``noc_charge`` defaults and lets
                 the fast path batch its send charges.
-            fastmem: force the epoch-memoized fast path on/off; ``None``
-                follows the ``QEI_NO_FASTMEM`` environment switch.
+            fastmem: shadow the access entry points with the
+                epoch-memoized fast path; ``False`` builds the reference
+                walk (a test seam for lockstep and golden-stats checks).
         """
         self.config = config
         if noc is not None:
@@ -115,10 +116,10 @@ class MemoryHierarchy:
         self._prefetches = self.stats.counter("prefetches")
         #: The epoch-memoized fast path (mem/fastpath.py).  When enabled it
         #: shadows the public access entry points with bound methods that
-        #: replay memoized hit outcomes; ``QEI_NO_FASTMEM=1`` (or
-        #: ``fastmem=False``) leaves the reference slow path untouched.
+        #: replay memoized hit outcomes; ``fastmem=False`` leaves the
+        #: reference slow path untouched.
         self._fast = None
-        if fastpath.enabled(fastmem):
+        if fastmem:
             self._fast = fastpath.FastMem(self, noc=noc)
             self.access_from_core = self._fast.access_from_core
             self.access_from_slice = self._fast.access_from_slice
@@ -270,7 +271,7 @@ class MemoryHierarchy:
 
         With the fast path enabled this entry point is rebound to
         :meth:`FastMem.warm_lines`, which batches the whole sweep through
-        the memo with hoisted locals (see bench_mem's warm legs).
+        the memo with hoisted locals.
         """
         for paddr in paddrs:
             self.access_from_core(core_id, paddr)

@@ -38,41 +38,27 @@ SERVE_CASES = [
     ("core-integrated", 2, 600, 7),
 ]
 
-#: (fusion, specialize) mode grid.  Both hot-path layers — macro-step
-#: fusion and CFA specialization with the batched ready-drain — must be
-#: independently and jointly invisible to every simulated number.
-MODES = [
-    ("on", "on"),
-    ("on", "off"),
-    ("off", "on"),
-    ("off", "off"),
-]
-
-#: The epoch-memoized memory fast path (mem/fastpath.py) gets its own
-#: dimension: the {fastmem on, off} pair is crossed with the full
-#: {fusion, specialize} grid below, proving the memo layer is invisible
-#: regardless of which interpreter path drives the accesses.
-FASTMEM_MODES = ["on", "off"]
-
-#: Subset of PAIRS replayed across the full mode grid (one sliced scheme,
-#: one core scheme) to bound runtime; the default-mode tests above cover
-#: every pair.
-MODE_GRID_PAIRS = [
-    ("dpdk", "cha-tlb"),
-    ("rocksdb", "core-integrated"),
-]
+#: The two configurations every simulated number must agree across: the
+#: default, with every hot-path layer on, and the full reference, with the
+#: three test seams off — the unfused (``QeiAccelerator._fuse``) generic
+#: (``QeiAccelerator._specialize``) interpreter over the un-memoized memory
+#: walk (``MemoryHierarchy(fastmem=False)``).  The plain tests below run
+#: the default; their ``_in_reference_config`` twins run the reference.
+CONFIGS = ("default", "reference")
 
 
-def _set_modes(
-    monkeypatch, fusion: str, specialize: str, fastmem: str = "on"
-) -> None:
-    # The accelerator reads the fusion/specialize switches at construction
-    # time and the hierarchy reads QEI_NO_FASTMEM at construction time, so
-    # setting them before the system is built inside the measurement is
-    # sufficient.
-    monkeypatch.setenv("QEI_NO_FUSION", "0" if fusion == "on" else "1")
-    monkeypatch.setenv("QEI_NO_SPECIALIZE", "0" if specialize == "on" else "1")
-    monkeypatch.setenv("QEI_NO_FASTMEM", "0" if fastmem == "on" else "1")
+def _use_config(monkeypatch, config: str) -> None:
+    # The accelerator copies its seams and the hierarchy picks its memory
+    # path at construction, so patching before the system is built inside
+    # the measurement is sufficient.  ``fastmem`` is keyword-only, so the
+    # default every System build uses lives in ``__kwdefaults__``.
+    from repro.core.accelerator import QeiAccelerator
+    from repro.mem.hierarchy import MemoryHierarchy
+
+    on = config == "default"
+    monkeypatch.setattr(QeiAccelerator, "_fuse", on)
+    monkeypatch.setattr(QeiAccelerator, "_specialize", on)
+    monkeypatch.setitem(MemoryHierarchy.__init__.__kwdefaults__, "fastmem", on)
 
 
 def _snapshot_hash(stats) -> str:
@@ -145,31 +131,47 @@ def test_serve_report_matches_golden(scheme, tenants, requests, seed):
     assert _measure_serve(scheme, tenants, requests, seed) == golden
 
 
-@pytest.mark.parametrize("fastmem", FASTMEM_MODES)
-@pytest.mark.parametrize("fusion,specialize", MODES)
-@pytest.mark.parametrize("workload,scheme", MODE_GRID_PAIRS)
-def test_roi_pair_matches_golden_in_all_modes(
-    workload, scheme, fusion, specialize, fastmem, monkeypatch
-):
-    _set_modes(monkeypatch, fusion, specialize, fastmem)
+def test_reference_config_reaches_built_systems(monkeypatch):
+    # Guards the twins below: a seam that stopped reaching the built
+    # system would silently re-test the default.
+    from repro.analysis.experiments import _build
+
+    _use_config(monkeypatch, "reference")
+    system, _ = _build("dpdk", "cha-tlb", quick=True)
+    assert system.accelerator._fuse is False
+    assert system.accelerator._specialize is False
+    assert system.hierarchy._fast is None
+
+
+@pytest.mark.parametrize("workload,scheme", PAIRS)
+def test_roi_pair_matches_golden_in_reference_config(workload, scheme, monkeypatch):
+    _use_config(monkeypatch, "reference")
     golden = _load_golden()["pairs"][f"{workload}/{scheme}"]
     assert _measure_pair(workload, scheme) == golden
+
+
+@pytest.mark.parametrize("scheme,tenants,requests,seed", SERVE_CASES)
+def test_serve_report_matches_golden_in_reference_config(
+    scheme, tenants, requests, seed, monkeypatch
+):
+    _use_config(monkeypatch, "reference")
+    golden = _load_golden()["serve"][f"{scheme}/t{tenants}/r{requests}/s{seed}"]
+    assert _measure_serve(scheme, tenants, requests, seed) == golden
 
 
 def test_chaos_report_identical_across_specialize_modes(monkeypatch):
     # The chaos run covers slice kills, recoveries and a live firmware
     # hot-swap (which forces a compiled-table rebuild via firmware.epoch);
-    # its full report must be byte-identical with and without
-    # specialization.
+    # its full report must be byte-identical in both configurations.
     from repro.faults.chaos import run_chaos
 
     dumps = {}
-    for specialize in ("off", "on"):
-        _set_modes(monkeypatch, "on", specialize)
-        dumps[specialize] = run_chaos(
+    for config in CONFIGS:
+        _use_config(monkeypatch, config)
+        dumps[config] = run_chaos(
             "cha-tlb", seed=7, requests=160, tenants=2
         ).dump()
-    assert dumps["on"] == dumps["off"]
+    assert dumps["default"] == dumps["reference"]
 
 
 def test_recovery_report_identical_across_specialize_modes(monkeypatch):
@@ -179,12 +181,12 @@ def test_recovery_report_identical_across_specialize_modes(monkeypatch):
     from repro.faults.chaos import run_recovery_chaos
 
     dumps = {}
-    for specialize in ("off", "on"):
-        _set_modes(monkeypatch, "on", specialize)
-        dumps[specialize] = run_recovery_chaos(
+    for config in CONFIGS:
+        _use_config(monkeypatch, config)
+        dumps[config] = run_recovery_chaos(
             "cha-tlb", seed=7, requests=120, nodes=4, tenants=2
         ).dump()
-    assert dumps["on"] == dumps["off"]
+    assert dumps["default"] == dumps["reference"]
 
 
 @pytest.mark.parametrize("workload,scheme", PAIRS)

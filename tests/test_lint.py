@@ -7,6 +7,10 @@ to ``None`` must annotate the ``None`` (``Optional[X]`` or ``X | None``),
 not pretend to be a plain ``X``.  The sweep found (and PR 10 fixed)
 ``MeshNoc.__init__``'s ``stats: StatsRegistry = None`` and
 ``DynamicEnergyModel.energies_pj``.
+
+A second sweep keeps the retired ``QEI_NO_*`` environment switches out of
+``src/``: the fast paths are unconditional, and tests reach the reference
+paths through class-level seams instead (see ``tests/test_golden_stats.py``).
 """
 
 from __future__ import annotations
@@ -77,3 +81,13 @@ def test_no_implicit_optional_defaults():
         "implicit-Optional defaults (annotate as Optional[X] / X | None):\n"
         + "\n".join(offenders)
     )
+
+
+def test_no_env_escape_hatches_in_src():
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{lineno}"
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if "QEI_NO_" in line
+    ]
+    assert not offenders, "QEI_NO_* switches are retired:\n" + "\n".join(offenders)
