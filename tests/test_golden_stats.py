@@ -38,6 +38,22 @@ SERVE_CASES = [
     ("core-integrated", 2, 600, 7),
 ]
 
+#: The chaos drills (``dump()`` of one run) and their experiment tables
+#: (``format()`` with a same-seed re-run), all on cha-tlb at seed 7.
+CHAOS_CASES = {
+    "run_chaos": dict(requests=160, tenants=2),
+    "run_mutation_chaos": dict(requests=160, tenants=2),
+    "run_cluster_chaos": dict(requests=160, nodes=4, tenants=2),
+    "run_recovery_chaos": dict(requests=120, nodes=4, tenants=2),
+    "chaos_experiment": dict(requests=160, tenants=2, repeats=2),
+    "cluster_chaos_experiment": dict(
+        requests=160, nodes=4, tenants=2, repeats=2
+    ),
+    "recovery_chaos_experiment": dict(
+        requests=120, nodes=4, tenants=2, repeats=2
+    ),
+}
+
 #: The two configurations every simulated number must agree across: the
 #: default, with every hot-path layer on, and the full reference, with the
 #: three test seams off — the unfused (``QeiAccelerator._fuse``) generic
@@ -103,13 +119,26 @@ def _measure_serve(scheme: str, tenants: int, requests: int, seed: int) -> dict:
     return {"report_sha256": hashlib.sha256(report).hexdigest()}
 
 
+def _measure_chaos(name: str) -> dict:
+    from repro.faults import chaos
+
+    driver = getattr(chaos, name)
+    if name.endswith("_experiment"):
+        text = driver(schemes=["cha-tlb"], seed=7, **CHAOS_CASES[name]).format()
+    else:
+        text = driver("cha-tlb", seed=7, **CHAOS_CASES[name]).dump()
+    return {"sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
 def capture() -> dict:
-    golden = {"pairs": {}, "serve": {}}
+    golden = {"pairs": {}, "serve": {}, "chaos": {}}
     for workload, scheme in PAIRS:
         golden["pairs"][f"{workload}/{scheme}"] = _measure_pair(workload, scheme)
     for scheme, tenants, requests, seed in SERVE_CASES:
         key = f"{scheme}/t{tenants}/r{requests}/s{seed}"
         golden["serve"][key] = _measure_serve(scheme, tenants, requests, seed)
+    for name in CHAOS_CASES:
+        golden["chaos"][name] = _measure_chaos(name)
     return golden
 
 
@@ -129,6 +158,12 @@ def test_roi_pair_matches_golden(workload, scheme):
 def test_serve_report_matches_golden(scheme, tenants, requests, seed):
     golden = _load_golden()["serve"][f"{scheme}/t{tenants}/r{requests}/s{seed}"]
     assert _measure_serve(scheme, tenants, requests, seed) == golden
+
+
+@pytest.mark.parametrize("name", list(CHAOS_CASES))
+def test_chaos_output_matches_golden(name):
+    golden = _load_golden()["chaos"][name]
+    assert _measure_chaos(name) == golden
 
 
 def test_reference_config_reaches_built_systems(monkeypatch):
