@@ -185,14 +185,8 @@ def experiment_kwargs(name: str, args: argparse.Namespace) -> Dict:
         if args.scheme:
             kwargs["schemes"] = [args.scheme]
     if name in TAKES_CLUSTER:
-        kwargs["tenants"] = args.tenants
-        kwargs["requests"] = args.requests
-        kwargs["seed"] = args.seed
-        kwargs["repeats"] = args.repeats
         kwargs["nodes"] = args.nodes
         kwargs["replication"] = args.replication
-        if args.scheme:
-            kwargs["schemes"] = [args.scheme]
     if name in TAKES_QUORUM:
         kwargs["quorum"] = args.quorum
     return kwargs

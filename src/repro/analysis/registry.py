@@ -82,9 +82,9 @@ TAKES_WORKLOADS = {"fig1", "fig7", "fig8", "fig9", "fig11", "fig12", "fault-camp
 TAKES_SEEDED = {"fault-campaign"}
 #: Experiments driven by the serving-tier options.
 TAKES_SERVE = {"serve"}
-#: The chaos harness: serving options plus determinism repeats.
-TAKES_CHAOS = {"chaos"}
-#: The cluster chaos harness: chaos options plus fleet shape.
+#: The chaos drills: serving options plus determinism repeats.
+TAKES_CHAOS = {"chaos", "cluster-chaos", "recovery-chaos"}
+#: The cluster chaos drills additionally take the fleet shape.
 TAKES_CLUSTER = {"cluster-chaos", "recovery-chaos"}
 #: The durability harness additionally takes the write-quorum size.
 TAKES_QUORUM = {"recovery-chaos"}

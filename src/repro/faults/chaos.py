@@ -18,13 +18,18 @@ thresholds — a cycle-free trigger, so the schedule is identical across
 runs regardless of how timing shifts as the code evolves.  The timeline is
 segmented into phases at every event; the report carries availability and
 p99 per phase.
+
+All four drills share one schedule driver (:func:`_drive`), one contract
+check (:func:`_verify_contract`) and one determinism re-run; each keeps
+only its schedule, its fire actions and its own checks.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 from ..config import ClusterConfig, IntegrationScheme, ServeConfig
 from ..core.programs import HashOfListsCfa
@@ -62,6 +67,11 @@ REPLICA_LAG_CYCLES = 4_096
 #: Post-run drain quantum while replicas converge / catch-up completes.
 RECOVERY_DRAIN_CYCLES = 8_192
 
+#: Availability the cluster drills assert in every phase and overall
+#: (recorded in each report's ``checks["availability_floor"]``).
+CLUSTER_AVAILABILITY_FLOOR = 0.95
+RECOVERY_AVAILABILITY_FLOOR = 0.9
+
 
 class ChaosError(ReproError):
     """The chaos contract was violated (wrong result, hang, lost event)."""
@@ -82,14 +92,11 @@ class ChaosEvent:
     #: SLICE_DOWN aborts caused (slice-fail only).
     aborted: int = 0
 
-    def row(self) -> Dict[str, object]:
-        return {
-            "action": self.action,
-            "trigger": self.trigger,
-            "home": self.home,
-            "fired_cycle": self.fired_cycle,
-            "aborted": self.aborted,
-        }
+    @property
+    def label(self) -> str:
+        """The name of the phase this event opens."""
+        home = "" if self.home is None else f"-{self.home}"
+        return self.action + home
 
 
 @dataclass
@@ -105,37 +112,239 @@ class ChaosReport:
 
     def dump(self) -> str:
         """Canonical JSON (byte-identical across same-seed runs)."""
-        return json.dumps(
-            {
-                "scheme": self.scheme,
-                "seed": self.seed,
-                "requests": self.requests,
-                "events": self.events,
-                "serving": self.serving,
-                "checks": self.checks,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
+
+
+# ---------------------------------------------------------------------- #
+# The shared harness: schedule driver, contract check, determinism re-run
+# ---------------------------------------------------------------------- #
+
+
+def _drive(target, events, actions, settle, after_tick=None):
+    """Run ``target``'s (a server's or a cluster's) load under ``events``.
+
+    An event fires through ``actions[event.action]`` once the terminal
+    count reaches its trigger, and opens a phase; ``after_tick`` then sees
+    the count.  Triggers past the budget (tiny runs) fire after the run,
+    each followed by ``settle()``, so the schedule always completes.
+    """
+    pending = list(events)
+
+    def fire(event) -> None:
+        event.fired_cycle = target.engine.now
+        actions[event.action](event)
+        target.slo.begin_phase(event.label, target.engine.now)
+
+    def on_tick(_) -> None:
+        while pending and target.slo.terminal >= pending[0].trigger:
+            fire(pending.pop(0))
+        if after_tick is not None:
+            after_tick(target.slo.terminal)
+
+    run_report = target.run(on_tick=on_tick)
+    while pending:
+        fire(pending.pop(0))
+        settle()
+    return run_report
+
+
+def _verify_contract(report, drill: str, own, *, hangs, floor, availability):
+    """Raise :class:`ChaosError` unless ``report`` meets the drill contract.
+
+    Every drill owes zero wrong results, zero hangs, each ``availability``
+    value (scope -> fraction) at or above ``floor``, a completed schedule
+    and, when it recorded a client history, a linearizable one with no
+    inconclusive key.  ``own`` lists the drill's own checks as
+    ``(failed, message)`` pairs.
+    """
+    checks = report.checks
+    shared = [
+        (checks["result_errors"], f"{checks['result_errors']} wrong results"),
+        (hangs, f"{hangs} requests never reached a terminal outcome (hang)"),
+        *(
+            (value < floor, f"{scope} availability {value:.4f} below the "
+             f"{floor:.4f} floor")
+            for scope, value in availability.items()
+        ),
+        (
+            any(event["fired_cycle"] is None for event in report.events),
+            "schedule did not complete",
+        ),
+        (
+            not checks.get("history_linearizable", True),
+            "per-key history is not linearizable (keys "
+            f"{checks.get('history_violations')})",
+        ),
+        (
+            checks.get("history_inconclusive", 0),
+            f"{checks.get('history_inconclusive')} keys inconclusive (the "
+            "checker's state budget ran out)",
+        ),
+    ]
+    problems = [message for failed, message in shared + own if failed]
+    if problems:
+        raise ChaosError(
+            f"{drill} contract violated on {report.scheme}: "
+            + "; ".join(problems)
         )
+
+
+def _deterministic(run: Callable, repeats: int, what: str):
+    """``run()``, then ``repeats - 1`` same-seed re-runs that must dump
+    byte-identical reports; returns the first report."""
+    report = run()
+    for _ in range(max(0, repeats - 1)):
+        if run().dump() != report.dump():
+            raise ChaosError(
+                f"{what} is not deterministic: same-seed re-run produced a "
+                "different report"
+            )
+    return report
+
+
+def _timed(event, requests: int, plan) -> list:
+    """``plan``'s ``(action, percent, victims...)`` rows as ``event``s
+    triggered at that share of the budget (the n-th no earlier than the
+    n-th terminal request), so the schedule scales with run length."""
+    return [
+        event(action, max(n, requests * percent // 100), *victims)
+        for n, (action, percent, *victims) in enumerate(plan, 1)
+    ]
+
+
+def _count(events, *actions) -> int:
+    return sum(1 for event in events if event.action in actions)
+
+
+def _scheme_names(schemes) -> List[str]:
+    return [
+        IntegrationScheme.parse(s).value
+        for s in (schemes or [IntegrationScheme.CHA_TLB.value])
+    ]
+
+
+# ---------------------------------------------------------------------- #
+# Single-machine chaos: slice kills, recoveries and a firmware hot-swap
+# ---------------------------------------------------------------------- #
 
 
 def chaos_schedule(homes: List[int], requests: int) -> List[ChaosEvent]:
     """The canonical event schedule: 2 kills, 2 recoveries, 1 hot-swap.
 
     Victims are the first two accelerator homes (the same home twice for
-    single-home schemes — kill, recover, kill again).  Triggers sit at
-    fixed fractions of the request budget so the schedule scales with run
-    length.
+    single-home schemes — kill, recover, kill again).
     """
     first = homes[0]
     second = homes[1] if len(homes) > 1 else homes[0]
-    return [
-        ChaosEvent(SLICE_FAIL, max(1, requests * 15 // 100), home=first),
-        ChaosEvent(SLICE_RECOVER, max(2, requests * 30 // 100), home=first),
-        ChaosEvent(SLICE_FAIL, max(3, requests * 45 // 100), home=second),
-        ChaosEvent(SLICE_RECOVER, max(4, requests * 60 // 100), home=second),
-        ChaosEvent(FIRMWARE_SWAP, max(5, requests * 75 // 100)),
-    ]
+    return _timed(ChaosEvent, requests, [
+        (SLICE_FAIL, 15, first),
+        (SLICE_RECOVER, 30, first),
+        (SLICE_FAIL, 45, second),
+        (SLICE_RECOVER, 60, second),
+        (FIRMWARE_SWAP, 75),
+    ])
+
+
+class _Machine:
+    """One serving machine under closed-loop load and the canonical
+    :func:`chaos_schedule`: the setup, fire actions and report shared by
+    the single-machine drills."""
+
+    def __init__(self, scheme: str, *, seed: int, requests: int, serve_config):
+        from ..serve import ClosedLoopGenerator, build_serving_system
+
+        self.seed = seed
+        self.system, self.built = build_serving_system(
+            scheme, seed=seed, serve_config=serve_config
+        )
+        self.scheme = IntegrationScheme.parse(scheme).value
+        self.server = self.system.make_server(
+            self.built, serve_config, seed=seed
+        )
+        per_tenant = max(1, requests // serve_config.tenants)
+        for tenant in range(serve_config.tenants):
+            self.server.attach(
+                ClosedLoopGenerator(
+                    tenant,
+                    config=serve_config,
+                    num_requests=per_tenant,
+                    num_queries=len(self.built.queries),
+                    seed=seed,
+                    stats=self.system.stats,
+                )
+            )
+        self.budget = per_tenant * serve_config.tenants
+        self.events = chaos_schedule(
+            self.system.integration.accelerator_homes(), self.budget
+        )
+        self.swap_tickets = []
+        self.server.slo.begin_phase("baseline", self.system.engine.now)
+
+    def run(self, after_tick=None):
+        actions = {
+            SLICE_FAIL: self._fail,
+            SLICE_RECOVER: lambda event: self.system.recover_slice(event.home),
+            FIRMWARE_SWAP: self._swap,
+        }
+        return _drive(
+            self.server, self.events, actions, self.system.engine.run,
+            after_tick,
+        )
+
+    def _fail(self, event: ChaosEvent) -> None:
+        event.aborted = self.system.fail_slice(event.home)
+
+    def _swap(self, event: ChaosEvent) -> None:
+        # Live hot-swap: stop pulling new work, push the open bursts
+        # through, then quiesce-and-commit; dispatch resumes at commit.
+        server = self.server
+        server.pause_dispatch()
+        server.batcher.flush_all()
+        ticket = self.system.update_firmware(
+            [BPlusTreeCfa(), HashOfListsCfa()],
+            on_complete=lambda upd: server.resume_dispatch(),
+        )
+        self.swap_tickets.append(ticket)
+
+    def report(self, serving_report, events, checks) -> ChaosReport:
+        """The report over ``events``, with ``checks`` added to the
+        checks every single-machine drill carries."""
+        aggregate = serving_report.aggregate
+        return ChaosReport(
+            scheme=self.scheme,
+            seed=self.seed,
+            requests=self.budget,
+            events=[dict(vars(event)) for event in events],
+            serving={
+                "aggregate": aggregate,
+                "phases": serving_report.phases,
+                "tenants": serving_report.tenants,
+                "elapsed_cycles": serving_report.elapsed_cycles,
+            },
+            checks={
+                "result_errors": aggregate["result_errors"],
+                "failed": aggregate["failed"],
+                "availability": aggregate["availability"],
+                "slice_kills": _count(events, SLICE_FAIL),
+                "firmware_swaps": len(self.swap_tickets),
+                "swap_committed": all(t.done for t in self.swap_tickets),
+                "slice_down_aborts": sum(e.aborted for e in events),
+                **checks,
+            },
+        )
+
+
+def _verify_machine(report: ChaosReport, drill: str, own) -> None:
+    checks = report.checks
+    _verify_contract(
+        report,
+        drill,
+        [(not checks["swap_committed"], "firmware hot-swap never committed")]
+        + own,
+        hangs=checks["failed"],
+        floor=1.0,
+        availability={"aggregate": checks["availability"]},
+    )
 
 
 def run_chaos(
@@ -144,102 +353,23 @@ def run_chaos(
     seed: int = 7,
     requests: int = 400,
     tenants: int = 4,
-    workload: str = "dpdk",
-    serve_config: Optional[ServeConfig] = None,
     verify: bool = True,
 ) -> ChaosReport:
     """One closed-loop serving run under the canonical chaos schedule."""
-    from ..serve import ClosedLoopGenerator, build_serving_system
-
-    if serve_config is None:
-        serve_config = ServeConfig(tenants=tenants)
-    system, built = build_serving_system(
-        scheme, seed=seed, serve_config=serve_config, workload=workload
+    machine = _Machine(
+        scheme, seed=seed, requests=requests,
+        serve_config=ServeConfig(tenants=tenants),
     )
-    server = system.make_server(built, serve_config, seed=seed)
-    per_tenant = max(1, requests // serve_config.tenants)
-    for tenant in range(serve_config.tenants):
-        server.attach(
-            ClosedLoopGenerator(
-                tenant,
-                config=serve_config,
-                num_requests=per_tenant,
-                num_queries=len(built.queries),
-                seed=seed,
-                stats=system.stats,
-            )
-        )
-    budget = per_tenant * serve_config.tenants
-
-    events = chaos_schedule(system.integration.accelerator_homes(), budget)
-    pending = list(events)
-    swap_tickets = []
-    server.slo.begin_phase("baseline", system.engine.now)
-
-    def fire(event: ChaosEvent) -> None:
-        event.fired_cycle = system.engine.now
-        if event.action == SLICE_FAIL:
-            event.aborted = system.fail_slice(event.home)
-        elif event.action == SLICE_RECOVER:
-            system.recover_slice(event.home)
-        else:
-            # Live hot-swap: stop pulling new work, push the open bursts
-            # through, then quiesce-and-commit; dispatch resumes at commit.
-            server.pause_dispatch()
-            server.batcher.flush_all()
-            ticket = system.update_firmware(
-                [BPlusTreeCfa(), HashOfListsCfa()],
-                on_complete=lambda upd: server.resume_dispatch(),
-            )
-            swap_tickets.append(ticket)
-        label = (
-            event.action
-            if event.home is None
-            else f"{event.action}-{event.home}"
-        )
-        server.slo.begin_phase(label, system.engine.now)
-
-    def on_tick(srv) -> None:
-        while pending and srv.slo.terminal >= pending[0].trigger:
-            fire(pending.pop(0))
-
-    serving_report = server.run(on_tick=on_tick)
-    # A trigger past the budget (tiny runs) would never fire mid-run;
-    # fire the stragglers now so the schedule always completes.
-    while pending:
-        fire(pending.pop(0))
-        system.engine.run()
-
-    aggregate = serving_report.aggregate
-    swap_committed = all(t.done for t in swap_tickets)
-    extensions_live = system.firmware.supports(
-        BPlusTreeCfa.TYPE_CODE
-    ) and system.firmware.supports(HashOfListsCfa.TYPE_CODE)
-    report = ChaosReport(
-        scheme=IntegrationScheme.parse(scheme).value,
-        seed=seed,
-        requests=budget,
-        events=[event.row() for event in events],
-        serving={
-            "aggregate": aggregate,
-            "phases": serving_report.phases,
-            "tenants": serving_report.tenants,
-            "elapsed_cycles": serving_report.elapsed_cycles,
-        },
-        checks={
-            "result_errors": aggregate["result_errors"],
-            "failed": aggregate["failed"],
-            "availability": aggregate["availability"],
-            "slice_kills": sum(
-                1 for e in events if e.action == SLICE_FAIL
-            ),
-            "slice_recoveries": sum(
-                1 for e in events if e.action == SLICE_RECOVER
-            ),
-            "firmware_swaps": len(swap_tickets),
-            "swap_committed": swap_committed,
-            "extension_programs_live": extensions_live,
-            "slice_down_aborts": sum(e.aborted for e in events),
+    serving_report = machine.run()
+    firmware = machine.system.firmware
+    report = machine.report(
+        serving_report,
+        machine.events,
+        {
+            "slice_recoveries": _count(machine.events, SLICE_RECOVER),
+            "extension_programs_live": firmware.supports(
+                BPlusTreeCfa.TYPE_CODE
+            ) and firmware.supports(HashOfListsCfa.TYPE_CODE),
         },
     )
     if verify:
@@ -248,25 +378,10 @@ def run_chaos(
 
 
 def _verify(report: ChaosReport) -> None:
-    checks = report.checks
-    problems = []
-    if checks["result_errors"]:
-        problems.append(f"{checks['result_errors']} wrong results")
-    if checks["failed"]:
-        problems.append(f"{checks['failed']} unresolved requests")
-    if checks["availability"] != 1.0:
-        problems.append(f"availability {checks['availability']:.4f} != 1.0")
-    if not checks["swap_committed"]:
-        problems.append("firmware hot-swap never committed")
-    if not checks["extension_programs_live"]:
-        problems.append("extension programs missing after hot-swap")
-    if any(event["fired_cycle"] is None for event in report.events):
-        problems.append("chaos schedule did not complete")
-    if problems:
-        raise ChaosError(
-            f"chaos contract violated on {report.scheme}: "
-            + "; ".join(problems)
-        )
+    live = report.checks["extension_programs_live"]
+    _verify_machine(report, "chaos", [
+        (not live, "extension programs missing after hot-swap"),
+    ])
 
 
 def run_mutation_chaos(
@@ -276,7 +391,6 @@ def run_mutation_chaos(
     requests: int = 400,
     tenants: int = 4,
     write_ratio: float = 0.5,
-    workload: str = "dpdk",
     verify: bool = True,
 ) -> ChaosReport:
     """The mixed read/write chaos run (docs/mutations.md).
@@ -292,38 +406,16 @@ def run_mutation_chaos(
     phantom updates** (the drained structure equals the oracle's
     sequential final state).
     """
-    from ..serve import ClosedLoopGenerator, build_serving_system
-
-    serve_config = ServeConfig(tenants=tenants, write_ratio=write_ratio)
-    system, built = build_serving_system(
-        scheme, seed=seed, serve_config=serve_config, workload=workload
+    machine = _Machine(
+        scheme, seed=seed, requests=requests,
+        serve_config=ServeConfig(tenants=tenants, write_ratio=write_ratio),
     )
-    server = system.make_server(built, serve_config, seed=seed)
-    per_tenant = max(1, requests // serve_config.tenants)
-    for tenant in range(serve_config.tenants):
-        server.attach(
-            ClosedLoopGenerator(
-                tenant,
-                config=serve_config,
-                num_requests=per_tenant,
-                num_queries=len(built.queries),
-                seed=seed,
-                stats=system.stats,
-            )
-        )
-    budget = per_tenant * serve_config.tenants
-
-    events = chaos_schedule(system.integration.accelerator_homes(), budget)
-    pending = list(events)
-    swap_tickets = []
-    server.slo.begin_phase("baseline", system.engine.now)
-
+    system, server, budget = machine.system, machine.server, machine.budget
     resizer = system.start_resize(
-        built.mutable_structure(), chunk_buckets=8
+        machine.built.mutable_structure(), chunk_buckets=8
     )
     resize_start = ChaosEvent(RESIZE_START, max(1, budget * 20 // 100))
     resize_commit = ChaosEvent(RESIZE_COMMIT, resize_start.trigger)
-    events = events + [resize_start, resize_commit]
     resize = {"stepped_at": -1, "committing": False}
 
     def commit_resize() -> None:
@@ -356,36 +448,7 @@ def run_mutation_chaos(
         else:
             commit_resize()
 
-    def fire(event: ChaosEvent) -> None:
-        event.fired_cycle = system.engine.now
-        if event.action == SLICE_FAIL:
-            event.aborted = system.fail_slice(event.home)
-        elif event.action == SLICE_RECOVER:
-            system.recover_slice(event.home)
-        else:
-            server.pause_dispatch()
-            server.batcher.flush_all()
-            ticket = system.update_firmware(
-                [BPlusTreeCfa(), HashOfListsCfa()],
-                on_complete=lambda upd: server.resume_dispatch(),
-            )
-            swap_tickets.append(ticket)
-        label = (
-            event.action
-            if event.home is None
-            else f"{event.action}-{event.home}"
-        )
-        server.slo.begin_phase(label, system.engine.now)
-
-    def on_tick(srv) -> None:
-        while pending and srv.slo.terminal >= pending[0].trigger:
-            fire(pending.pop(0))
-        drive_resize(srv.slo.terminal)
-
-    serving_report = server.run(on_tick=on_tick)
-    while pending:
-        fire(pending.pop(0))
-        system.engine.run()
+    serving_report = machine.run(after_tick=drive_resize)
     if resize_commit.fired_cycle is None:
         # Tiny runs can drain the budget before the migration does; finish
         # the protocol so the run always includes one *complete* resize.
@@ -399,34 +462,17 @@ def run_mutation_chaos(
         system.engine.run()
 
     oracle = server._oracle
-    aggregate = serving_report.aggregate
-    swap_committed = all(t.done for t in swap_tickets)
-    report = ChaosReport(
-        scheme=IntegrationScheme.parse(scheme).value,
-        seed=seed,
-        requests=budget,
-        events=[event.row() for event in events],
-        serving={
-            "aggregate": aggregate,
-            "phases": serving_report.phases,
-            "tenants": serving_report.tenants,
-            "elapsed_cycles": serving_report.elapsed_cycles,
-        },
-        checks={
+    report = machine.report(
+        serving_report,
+        machine.events + [resize_start, resize_commit],
+        {
             "write_ratio": write_ratio,
-            "result_errors": aggregate["result_errors"],
-            "failed": aggregate["failed"],
-            "availability": aggregate["availability"],
             "reads_checked": oracle.reads_checked,
             "wrong_reads": oracle.wrong_reads,
             "writes_tracked": oracle.writes_tracked,
             "lost_or_phantom": len(server.write_problems or []),
             "write_problems": list(server.write_problems or []),
-            "slice_kills": sum(1 for e in events if e.action == SLICE_FAIL),
-            "firmware_swaps": len(swap_tickets),
-            "swap_committed": swap_committed,
             "resize_committed": resizer.committed,
-            "slice_down_aborts": sum(e.aborted for e in events),
         },
     )
     if verify:
@@ -436,31 +482,19 @@ def run_mutation_chaos(
 
 def _verify_mutation(report: ChaosReport) -> None:
     checks = report.checks
-    problems = []
-    if checks["wrong_reads"]:
-        problems.append(f"{checks['wrong_reads']} wrong reads")
-    if checks["result_errors"]:
-        problems.append(f"{checks['result_errors']} result errors")
-    if checks["lost_or_phantom"]:
-        problems.append(
-            f"{checks['lost_or_phantom']} lost/phantom updates: "
-            + "; ".join(checks["write_problems"][:3])
-        )
-    if checks["failed"]:
-        problems.append(f"{checks['failed']} unresolved requests")
-    if checks["availability"] != 1.0:
-        problems.append(f"availability {checks['availability']:.4f} != 1.0")
-    if not checks["swap_committed"]:
-        problems.append("firmware hot-swap never committed")
-    if not checks["resize_committed"]:
-        problems.append("online resize never committed")
-    if any(event["fired_cycle"] is None for event in report.events):
-        problems.append("mutation chaos schedule did not complete")
-    if problems:
-        raise ChaosError(
-            f"mutation chaos contract violated on {report.scheme} "
-            f"(write_ratio={checks['write_ratio']}): " + "; ".join(problems)
-        )
+    _verify_machine(
+        report,
+        f"mutation chaos (write_ratio={checks['write_ratio']})",
+        [
+            (checks["wrong_reads"], f"{checks['wrong_reads']} wrong reads"),
+            (
+                checks["lost_or_phantom"],
+                f"{checks['lost_or_phantom']} lost/phantom updates: "
+                + "; ".join(checks["write_problems"][:3]),
+            ),
+            (not checks["resize_committed"], "online resize never committed"),
+        ],
+    )
 
 
 def chaos_experiment(
@@ -475,10 +509,7 @@ def chaos_experiment(
     under closed-loop load, with a same-seed determinism re-run."""
     from ..analysis.report import ExperimentResult
 
-    scheme_names = [
-        IntegrationScheme.parse(s).value
-        for s in (schemes or [IntegrationScheme.CHA_TLB.value])
-    ]
+    scheme_names = _scheme_names(schemes)
     result = ExperimentResult(
         "chaos",
         (
@@ -497,79 +528,54 @@ def chaos_experiment(
             "errors",
         ],
     )
-    for scheme in scheme_names:
-        report = run_chaos(
-            scheme, seed=seed, requests=requests, tenants=tenants
-        )
-        for _ in range(max(0, repeats - 1)):
-            again = run_chaos(
-                scheme, seed=seed, requests=requests, tenants=tenants
-            )
-            if again.dump() != report.dump():
-                raise ChaosError(
-                    f"chaos run on {scheme} is not deterministic: "
-                    f"same-seed re-run produced a different report"
-                )
-        for phase in report.serving["phases"]:
-            result.add_row(
-                scheme=scheme,
-                phase=phase["name"],
-                admitted=phase["admitted"],
-                completed=phase["completed"],
-                shed=phase["deadline_shed"],
-                availability=phase["availability"],
-                p99=phase["p99"],
-                aborts="",
-                errors="",
-            )
-        checks = report.checks
+
+    def add_row(scheme, phase, counts, aborts="", errors="") -> None:
+        # ``counts`` is one phase's row or the whole run's aggregate.
         result.add_row(
             scheme=scheme,
-            phase="all",
-            admitted=report.serving["aggregate"]["admitted"],
-            completed=report.serving["aggregate"]["completed"],
-            shed=report.serving["aggregate"]["deadline_shed"],
-            availability=checks["availability"],
-            p99=report.serving["aggregate"]["p99"],
-            aborts=checks["slice_down_aborts"],
-            errors=checks["result_errors"],
+            phase=phase,
+            admitted=counts["admitted"],
+            completed=counts["completed"],
+            shed=counts["deadline_shed"],
+            availability=counts["availability"],
+            p99=counts["p99"],
+            aborts=aborts,
+            errors=errors,
+        )
+
+    for scheme in scheme_names:
+        report = _deterministic(
+            partial(
+                run_chaos, scheme, seed=seed, requests=requests,
+                tenants=tenants,
+            ),
+            repeats,
+            f"chaos run on {scheme}",
+        )
+        for phase in report.serving["phases"]:
+            add_row(scheme, phase["name"], phase)
+        checks = report.checks
+        add_row(
+            scheme, "all", report.serving["aggregate"],
+            checks["slice_down_aborts"], checks["result_errors"],
         )
     # Mixed read/write phase (docs/mutations.md): the same schedule plus
     # one full online resize, under 95/5 and 50/50 write mixes.
     mixed_scheme = scheme_names[0]
     for label, write_ratio in (("mixed-95/5", 0.05), ("mixed-50/50", 0.5)):
-        report = run_mutation_chaos(
-            mixed_scheme,
-            seed=seed,
-            requests=requests,
-            tenants=tenants,
-            write_ratio=write_ratio,
+        report = _deterministic(
+            partial(
+                run_mutation_chaos, mixed_scheme, seed=seed,
+                requests=requests, tenants=tenants, write_ratio=write_ratio,
+            ),
+            repeats,
+            f"mutation chaos run on {mixed_scheme}",
         )
-        for _ in range(max(0, repeats - 1)):
-            again = run_mutation_chaos(
-                mixed_scheme,
-                seed=seed,
-                requests=requests,
-                tenants=tenants,
-                write_ratio=write_ratio,
-            )
-            if again.dump() != report.dump():
-                raise ChaosError(
-                    f"mutation chaos run on {mixed_scheme} is not "
-                    "deterministic: same-seed re-run produced a different "
-                    "report"
-                )
         checks = report.checks
-        result.add_row(
-            scheme=mixed_scheme,
-            phase=label,
-            admitted=report.serving["aggregate"]["admitted"],
-            completed=report.serving["aggregate"]["completed"],
-            shed=report.serving["aggregate"]["deadline_shed"],
-            availability=checks["availability"],
-            p99=report.serving["aggregate"]["p99"],
-            aborts=checks["slice_down_aborts"],
-            errors=checks["wrong_reads"] + checks["lost_or_phantom"],
+        add_row(
+            mixed_scheme, label, report.serving["aggregate"],
+            checks["slice_down_aborts"],
+            checks["wrong_reads"] + checks["lost_or_phantom"],
         )
     result.notes.append(
         "contract: zero wrong results, zero hangs (availability 1.0), "
@@ -608,14 +614,10 @@ class ClusterChaosEvent:
     #: In-flight requests lost to a kill/flap (the LB re-drives them).
     lost: int = 0
 
-    def row(self) -> Dict[str, object]:
-        return {
-            "action": self.action,
-            "trigger": self.trigger,
-            "nodes": self.nodes,
-            "fired_cycle": self.fired_cycle,
-            "lost": self.lost,
-        }
+    @property
+    def label(self) -> str:
+        """The name of the phase this event opens."""
+        return "-".join([self.action, *map(str, self.nodes)])
 
 
 @dataclass
@@ -633,20 +635,7 @@ class ClusterChaosReport:
 
     def dump(self) -> str:
         """Canonical JSON (byte-identical across same-seed runs)."""
-        return json.dumps(
-            {
-                "scheme": self.scheme,
-                "seed": self.seed,
-                "nodes": self.nodes,
-                "replication": self.replication,
-                "requests": self.requests,
-                "events": self.events,
-                "cluster": self.cluster,
-                "checks": self.checks,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
 
 def cluster_chaos_schedule(
@@ -657,8 +646,7 @@ def cluster_chaos_schedule(
     Victims are spread deterministically over the fleet: the kill takes
     node 0, the partition isolates the two highest node ids, and the flap
     takes the middle node (stepping to node 1 when the middle falls inside
-    the partition set, as it does on tiny fleets).  Triggers sit at fixed
-    fractions of the request budget so the schedule scales with run length.
+    the partition set, as it does on tiny fleets).
     """
     if nodes < 4:
         raise ChaosError(
@@ -669,41 +657,123 @@ def cluster_chaos_schedule(
     flap_victim = nodes // 2
     if flap_victim in partitioned or flap_victim == kill_victim:
         flap_victim = 1
-    return [
-        ClusterChaosEvent(
-            NODE_KILL, max(1, requests * 15 // 100), nodes=[kill_victim]
-        ),
-        ClusterChaosEvent(
-            NODE_FLAP, max(2, requests * 30 // 100), nodes=[flap_victim]
-        ),
-        ClusterChaosEvent(
-            NODE_RECOVER, max(3, requests * 45 // 100), nodes=[kill_victim]
-        ),
-        ClusterChaosEvent(
-            NET_PARTITION, max(4, requests * 60 // 100), nodes=partitioned
-        ),
-        ClusterChaosEvent(NET_HEAL, max(5, requests * 75 // 100)),
-    ]
+    return _timed(ClusterChaosEvent, requests, [
+        (NODE_KILL, 15, [kill_victim]),
+        (NODE_FLAP, 30, [flap_victim]),
+        (NODE_RECOVER, 45, [kill_victim]),
+        (NET_PARTITION, 60, partitioned),
+        (NET_HEAL, 75),
+    ])
 
 
-def _chaos_cluster_config(
-    nodes: int, replication: int, availability_floor: float
-) -> ClusterConfig:
-    """The tuned fleet the chaos verb drives.
+class _Fleet:
+    """A cluster under a cluster-scope schedule, recording the client
+    history: the setup, shared fire actions and report of the cluster drills.
 
-    Faster probing and shorter request timeouts than the library defaults,
-    so one run walks victims through the full UP -> SUSPECT -> DOWN -> UP
-    lifecycle and failover latency stays in the same ballpark as service
-    latency.
+    It probes faster and times out sooner than the library defaults, so
+    one run walks victims through the full UP -> SUSPECT -> DOWN -> UP
+    lifecycle and failover latency stays near service latency; ``config``
+    sets the other ``ClusterConfig`` fields.
     """
-    return ClusterConfig(
-        nodes=nodes,
-        replication=replication,
-        probe_interval_cycles=1_024,
-        probe_timeout_cycles=256,
-        request_timeout_cycles=8_192,
-        timeout_embargo_cycles=2_048,
-        availability_floor=availability_floor,
+
+    def __init__(
+        self, scheme: str, *, seed: int, requests: int, schedule,
+        serve_config: ServeConfig, **config,
+    ):
+        from ..serve.cluster import SimulatedCluster
+
+        self.seed = seed
+        self.config = ClusterConfig(
+            probe_interval_cycles=1_024,
+            probe_timeout_cycles=256,
+            request_timeout_cycles=8_192,
+            timeout_embargo_cycles=2_048,
+            **config,
+        )
+        self.cluster = SimulatedCluster(
+            scheme,
+            cluster_config=self.config,
+            serve_config=serve_config,
+            seed=seed,
+            requests=requests,
+        )
+        self.recorder = self.cluster.attach_history()
+        self.budget = self.cluster.requests
+        self.events = schedule(self.config.nodes, self.budget)
+
+    def run(self, actions):
+        cluster = self.cluster
+        return _drive(
+            cluster, self.events, actions,
+            lambda: cluster.drain(2 * FLAP_OUTAGE_CYCLES),
+        )
+
+    def kill(self, event: ClusterChaosEvent) -> None:
+        event.lost = self.cluster.fail_node(event.nodes[0])
+
+    def partition(self, event: ClusterChaosEvent) -> None:
+        self.cluster.partition(event.nodes)
+
+    def report(self, cluster_report, verdict, checks) -> ClusterChaosReport:
+        """The report, with ``checks`` added to the checks every cluster
+        drill carries (``verdict`` is the client history's)."""
+        fleet = cluster_report.fleet
+        phases = cluster_report.phases
+        terminal = fleet["completed"] + fleet["failed"] + fleet["giveups"]
+        return ClusterChaosReport(
+            scheme=self.cluster.scheme,
+            seed=self.seed,
+            nodes=self.config.nodes,
+            replication=self.config.replication,
+            requests=self.budget,
+            events=[dict(vars(event)) for event in self.events],
+            cluster={
+                "fleet": fleet,
+                "phases": phases,
+                "tenants": cluster_report.tenants,
+                "node_rows": cluster_report.node_rows,
+                "membership_log": cluster_report.membership_log,
+                "rebalances": cluster_report.rebalances,
+                "elapsed_cycles": cluster_report.elapsed_cycles,
+            },
+            checks={
+                "result_errors": fleet["result_errors"],
+                "availability": fleet["availability"],
+                "min_phase_availability": min(
+                    phase["availability"] for phase in phases
+                ),
+                "availability_floor": self.config.availability_floor,
+                "terminal": terminal,
+                "budget": self.budget,
+                "issued_resolved": fleet["issued"]
+                == fleet["completed"] + fleet["failed"],
+                "history_ops": verdict.ops,
+                "history_linearizable": verdict.linearizable,
+                "history_violations": sorted(verdict.violations),
+                "history_inconclusive": len(verdict.inconclusive),
+                "lost_inflight": fleet["lost_inflight"],
+                "timeouts": fleet["timeouts"],
+                "retries": fleet["retries"],
+                **checks,
+            },
+        )
+
+
+def _verify_fleet(report: ClusterChaosReport, drill: str, own) -> None:
+    checks = report.checks
+    _verify_contract(
+        report,
+        drill,
+        [(
+            not checks["issued_resolved"],
+            "issued requests unaccounted for at the LB (hang)",
+        )] + own,
+        hangs=checks["budget"] - checks["terminal"],
+        floor=checks["availability_floor"],
+        availability={
+            "phase": checks["min_phase_availability"],
+            "aggregate": checks["availability"],
+        },
     )
 
 
@@ -715,112 +785,44 @@ def run_cluster_chaos(
     nodes: int = 10,
     replication: int = 2,
     tenants: int = 4,
-    workload: str = "dpdk",
-    availability_floor: float = 0.95,
     verify: bool = True,
 ) -> ClusterChaosReport:
     """One cluster run under the canonical kill/flap/partition schedule."""
-    from ..serve.cluster import SimulatedCluster
-
-    cluster_config = _chaos_cluster_config(
-        nodes, replication, availability_floor
-    )
-    cluster = SimulatedCluster(
+    fleet = _Fleet(
         scheme,
-        cluster_config=cluster_config,
-        serve_config=ServeConfig(tenants=tenants),
         seed=seed,
         requests=requests,
-        workload=workload,
-    )
-    recorder = cluster.attach_history()
-    budget = cluster.requests
-    events = cluster_chaos_schedule(nodes, budget)
-    pending = list(events)
-
-    def fire(event: ClusterChaosEvent) -> None:
-        event.fired_cycle = cluster.engine.now
-        if event.action == NODE_KILL:
-            event.lost = cluster.fail_node(event.nodes[0])
-        elif event.action == NODE_FLAP:
-            victim = event.nodes[0]
-            event.lost = cluster.fail_node(victim)
-            # The flap restarts on a cycle timer (not a request-count
-            # trigger): a short outage that may race the DOWN marking.
-            cluster.engine.schedule(
-                FLAP_OUTAGE_CYCLES, lambda v=victim: cluster.recover_node(v)
-            )
-        elif event.action == NODE_RECOVER:
-            cluster.recover_node(event.nodes[0])
-        elif event.action == NET_PARTITION:
-            cluster.partition(event.nodes)
-        elif event.action == NET_HEAL:
-            cluster.heal()
-        else:
-            raise ChaosError(f"unknown cluster chaos action {event.action!r}")
-        label = (
-            event.action
-            if not event.nodes
-            else event.action + "-" + "-".join(map(str, event.nodes))
-        )
-        cluster.slo.begin_phase(label, cluster.engine.now)
-
-    def on_tick(cl) -> None:
-        while pending and cl.slo.terminal >= pending[0].trigger:
-            fire(pending.pop(0))
-
-    cluster_report = cluster.run(on_tick=on_tick)
-    # Triggers past the budget (tiny runs) never fire mid-run; fire the
-    # stragglers and drain so recoveries land before the checks run.
-    while pending:
-        fire(pending.pop(0))
-        cluster.drain(2 * FLAP_OUTAGE_CYCLES)
-
-    verdict = recorder.check()
-    fleet = cluster_report.fleet
-    phases = cluster_report.phases
-    terminal = fleet["completed"] + fleet["failed"] + fleet["giveups"]
-    report = ClusterChaosReport(
-        scheme=cluster.scheme,
-        seed=seed,
+        schedule=cluster_chaos_schedule,
+        serve_config=ServeConfig(tenants=tenants),
         nodes=nodes,
         replication=replication,
-        requests=budget,
-        events=[event.row() for event in events],
-        cluster={
-            "fleet": fleet,
-            "phases": phases,
-            "tenants": cluster_report.tenants,
-            "node_rows": cluster_report.node_rows,
-            "membership_log": cluster_report.membership_log,
-            "rebalances": cluster_report.rebalances,
-            "elapsed_cycles": cluster_report.elapsed_cycles,
-        },
-        checks={
-            "result_errors": fleet["result_errors"],
-            "availability": fleet["availability"],
-            "min_phase_availability": min(
-                phase["availability"] for phase in phases
-            ),
-            "availability_floor": availability_floor,
-            "terminal": terminal,
-            "budget": budget,
-            "issued_resolved": fleet["issued"]
-            == fleet["completed"] + fleet["failed"],
-            "node_kills": sum(
-                1 for e in events if e.action in (NODE_KILL, NODE_FLAP)
-            ),
-            "partitions": sum(
-                1 for e in events if e.action == NET_PARTITION
-            ),
-            "lost_inflight": fleet["lost_inflight"],
-            "timeouts": fleet["timeouts"],
-            "retries": fleet["retries"],
+        availability_floor=CLUSTER_AVAILABILITY_FLOOR,
+    )
+    cluster = fleet.cluster
+
+    def flap(event: ClusterChaosEvent) -> None:
+        victim = event.nodes[0]
+        event.lost = cluster.fail_node(victim)
+        # The flap restarts on a cycle timer (not a request-count
+        # trigger): a short outage that may race the DOWN marking.
+        cluster.engine.schedule(
+            FLAP_OUTAGE_CYCLES, lambda: cluster.recover_node(victim)
+        )
+
+    cluster_report = fleet.run({
+        NODE_KILL: fleet.kill,
+        NODE_FLAP: flap,
+        NODE_RECOVER: lambda event: cluster.recover_node(event.nodes[0]),
+        NET_PARTITION: fleet.partition,
+        NET_HEAL: lambda event: cluster.heal(),
+    })
+    report = fleet.report(
+        cluster_report,
+        fleet.recorder.check(),
+        {
+            "node_kills": _count(fleet.events, NODE_KILL, NODE_FLAP),
+            "partitions": _count(fleet.events, NET_PARTITION),
             "membership_transitions": len(cluster_report.membership_log),
-            "history_ops": verdict.ops,
-            "history_linearizable": verdict.linearizable,
-            "history_violations": sorted(verdict.violations),
-            "history_inconclusive": len(verdict.inconclusive),
         },
     )
     if verify:
@@ -829,40 +831,50 @@ def run_cluster_chaos(
 
 
 def _verify_cluster(report: ClusterChaosReport) -> None:
-    checks = report.checks
-    problems = []
-    if checks["result_errors"]:
-        problems.append(f"{checks['result_errors']} wrong results")
-    if checks["terminal"] != checks["budget"]:
-        problems.append(
-            f"{checks['budget'] - checks['terminal']} requests never "
-            "reached a terminal outcome (hang)"
+    _verify_fleet(report, "cluster chaos", [])
+
+
+def _cluster_phase_table(name, title, schemes, run, repeats, what):
+    """One row per phase plus an "all" row for each scheme's run (re-run
+    ``repeats`` times for determinism); returns the table and the
+    ``(scheme, report)`` pairs."""
+    from ..analysis.report import ExperimentResult
+
+    result = ExperimentResult(
+        name,
+        title,
+        [
+            "scheme",
+            "phase",
+            "issued",
+            "completed",
+            "failed",
+            "giveups",
+            "availability",
+            "p99",
+        ],
+    )
+    reports = []
+    for scheme in _scheme_names(schemes):
+        report = _deterministic(
+            partial(run, scheme), repeats, f"{what} run on {scheme}"
         )
-    if not checks["issued_resolved"]:
-        problems.append("issued requests unaccounted for at the LB (hang)")
-    floor = checks["availability_floor"]
-    if checks["min_phase_availability"] < floor:
-        problems.append(
-            f"phase availability {checks['min_phase_availability']:.4f} "
-            f"below the {floor:.4f} floor"
-        )
-    if checks["availability"] < floor:
-        problems.append(
-            f"aggregate availability {checks['availability']:.4f} below "
-            f"the {floor:.4f} floor"
-        )
-    if any(event["fired_cycle"] is None for event in report.events):
-        problems.append("cluster chaos schedule did not complete")
-    if not checks.get("history_linearizable", True):
-        problems.append(
-            "per-key history is not linearizable (keys "
-            f"{checks['history_violations']})"
-        )
-    if problems:
-        raise ChaosError(
-            f"cluster chaos contract violated on {report.scheme}: "
-            + "; ".join(problems)
-        )
+        # The "all" row reads the fleet totals, which carry no p99.
+        for phase in report.cluster["phases"] + [
+            dict(report.cluster["fleet"], name="all", p99="")
+        ]:
+            result.add_row(
+                scheme=scheme,
+                phase=phase["name"],
+                issued=phase["issued"],
+                completed=phase["completed"],
+                failed=phase["failed"],
+                giveups=phase["giveups"],
+                availability=phase["availability"],
+                p99=phase["p99"],
+            )
+        reports.append((scheme, report))
+    return result, reports
 
 
 def cluster_chaos_experiment(
@@ -878,75 +890,21 @@ def cluster_chaos_experiment(
     """Cluster chaos campaign: node kill, node flap and a network
     partition over the replicated serving tier, with a same-seed
     determinism re-run."""
-    from ..analysis.report import ExperimentResult
-
-    scheme_names = [
-        IntegrationScheme.parse(s).value
-        for s in (schemes or [IntegrationScheme.CHA_TLB.value])
-    ]
-    result = ExperimentResult(
+    result, _ = _cluster_phase_table(
         "cluster-chaos",
         (
             f"{requests} closed-loop requests x {tenants} tenants over "
             f"{nodes} nodes (R={replication}) under 1 node kill + 1 node "
             f"flap + 1 network partition (seed {seed})"
         ),
-        [
-            "scheme",
-            "phase",
-            "issued",
-            "completed",
-            "failed",
-            "giveups",
-            "availability",
-            "p99",
-        ],
+        schemes,
+        partial(
+            run_cluster_chaos, seed=seed, requests=requests, nodes=nodes,
+            replication=replication, tenants=tenants,
+        ),
+        repeats,
+        "cluster chaos",
     )
-    for scheme in scheme_names:
-        report = run_cluster_chaos(
-            scheme,
-            seed=seed,
-            requests=requests,
-            nodes=nodes,
-            replication=replication,
-            tenants=tenants,
-        )
-        for _ in range(max(0, repeats - 1)):
-            again = run_cluster_chaos(
-                scheme,
-                seed=seed,
-                requests=requests,
-                nodes=nodes,
-                replication=replication,
-                tenants=tenants,
-            )
-            if again.dump() != report.dump():
-                raise ChaosError(
-                    f"cluster chaos run on {scheme} is not deterministic: "
-                    f"same-seed re-run produced a different report"
-                )
-        for phase in report.cluster["phases"]:
-            result.add_row(
-                scheme=scheme,
-                phase=phase["name"],
-                issued=phase["issued"],
-                completed=phase["completed"],
-                failed=phase["failed"],
-                giveups=phase["giveups"],
-                availability=phase["availability"],
-                p99=phase["p99"],
-            )
-        fleet = report.cluster["fleet"]
-        result.add_row(
-            scheme=scheme,
-            phase="all",
-            issued=fleet["issued"],
-            completed=fleet["completed"],
-            failed=fleet["failed"],
-            giveups=fleet["giveups"],
-            availability=report.checks["availability"],
-            p99="",
-        )
     result.notes.append(
         "contract: zero wrong results, zero hangs (every request terminal), "
         f"availability >= floor in every phase; fleet of {nodes} full-"
@@ -981,30 +939,16 @@ def recovery_chaos_schedule(
         raise ChaosError(
             f"recovery chaos needs at least 4 nodes, got {nodes}"
         )
-    return [
-        ClusterChaosEvent(
-            NODE_KILL, max(1, requests * 12 // 100), nodes=[0]
-        ),
-        ClusterChaosEvent(
-            REPLICA_LAG, max(2, requests * 25 // 100), nodes=[1]
-        ),
-        ClusterChaosEvent(
-            NODE_RECOVER, max(3, requests * 40 // 100), nodes=[0]
-        ),
-        ClusterChaosEvent(
-            NET_PARTITION, max(4, requests * 55 // 100), nodes=[nodes - 1]
-        ),
-        ClusterChaosEvent(NET_HEAL, max(5, requests * 70 // 100)),
-        ClusterChaosEvent(
-            NODE_KILL, max(6, requests * 75 // 100), nodes=[2]
-        ),
-        ClusterChaosEvent(
-            LOG_TRUNCATE, max(7, requests * 82 // 100), nodes=[2]
-        ),
-        ClusterChaosEvent(
-            NODE_RECOVER, max(8, requests * 90 // 100), nodes=[2]
-        ),
-    ]
+    return _timed(ClusterChaosEvent, requests, [
+        (NODE_KILL, 12, [0]),
+        (REPLICA_LAG, 25, [1]),
+        (NODE_RECOVER, 40, [0]),
+        (NET_PARTITION, 55, [nodes - 1]),
+        (NET_HEAL, 70),
+        (NODE_KILL, 75, [2]),
+        (LOG_TRUNCATE, 82, [2]),
+        (NODE_RECOVER, 90, [2]),
+    ])
 
 
 def run_recovery_chaos(
@@ -1016,9 +960,7 @@ def run_recovery_chaos(
     replication: int = 2,
     quorum: int = 2,
     tenants: int = 4,
-    workload: str = "dpdk",
     write_ratio: float = 0.5,
-    availability_floor: float = 0.9,
     verify: bool = True,
 ) -> ClusterChaosReport:
     """One mixed-workload cluster run under the durability schedule.
@@ -1029,33 +971,26 @@ def run_recovery_chaos(
     the finals some linearization of the recorded client history allows.
     The per-key history itself must be linearizable.
     """
-    from ..serve.cluster import SimulatedCluster
-    from dataclasses import replace as _dc_replace
+    from ..serve.cluster.membership import NodeState
 
-    cluster_config = _dc_replace(
-        _chaos_cluster_config(nodes, replication, availability_floor),
-        write_quorum=quorum,
-    )
-    cluster = SimulatedCluster(
+    fleet = _Fleet(
         scheme,
-        cluster_config=cluster_config,
-        serve_config=ServeConfig(tenants=tenants, write_ratio=write_ratio),
         seed=seed,
         requests=requests,
-        workload=workload,
+        schedule=recovery_chaos_schedule,
+        serve_config=ServeConfig(tenants=tenants, write_ratio=write_ratio),
+        nodes=nodes,
+        replication=replication,
+        availability_floor=RECOVERY_AVAILABILITY_FLOOR,
+        write_quorum=quorum,
     )
-    recorder = cluster.attach_history()
-    budget = cluster.requests
-    events = recovery_chaos_schedule(nodes, budget)
-    pending = list(events)
+    cluster = fleet.cluster
 
     def recover_when_down(victim: int) -> None:
         # A dead node restarting before the fleet marks it DOWN would
         # take the plain-restart path and skip catch-up; hold the restart
         # until the failure detector has converged (probe-interval poll,
         # deterministic).
-        from ..serve.cluster.membership import NodeState
-
         if (
             not cluster.nodes[victim].alive
             and cluster.membership.state_of(victim) is not NodeState.DOWN
@@ -1067,44 +1002,27 @@ def run_recovery_chaos(
             return
         cluster.recover_node(victim)
 
-    def fire(event: ClusterChaosEvent) -> None:
-        event.fired_cycle = cluster.engine.now
-        if event.action == NODE_KILL:
-            event.lost = cluster.fail_node(event.nodes[0])
-        elif event.action == NODE_RECOVER:
-            recover_when_down(event.nodes[0])
-        elif event.action == REPLICA_LAG:
-            cluster.inject_replica_lag(event.nodes[0], REPLICA_LAG_CYCLES)
-        elif event.action == NET_PARTITION:
-            cluster.partition(event.nodes)
-        elif event.action == NET_HEAL:
-            cluster.heal()
-            # The heal also lifts any standing apply-stream lag.
-            for node in range(nodes):
-                cluster.inject_replica_lag(node, 0)
-        elif event.action == LOG_TRUNCATE:
-            # Drop the dead node's entire commit log: recovery must see
-            # the ordinal gap (structure version past the log's tail).
-            event.lost = cluster.truncate_log(event.nodes[0], 1 << 30)
-        else:
-            raise ChaosError(
-                f"unknown recovery chaos action {event.action!r}"
-            )
-        label = (
-            event.action
-            if not event.nodes
-            else event.action + "-" + "-".join(map(str, event.nodes))
-        )
-        cluster.slo.begin_phase(label, cluster.engine.now)
+    def heal(event: ClusterChaosEvent) -> None:
+        cluster.heal()
+        # The heal also lifts any standing apply-stream lag.
+        for node in range(nodes):
+            cluster.inject_replica_lag(node, 0)
 
-    def on_tick(cl) -> None:
-        while pending and cl.slo.terminal >= pending[0].trigger:
-            fire(pending.pop(0))
+    def truncate_log(event: ClusterChaosEvent) -> None:
+        # Drop the dead node's entire commit log: recovery must see
+        # the ordinal gap (structure version past the log's tail).
+        event.lost = cluster.truncate_log(event.nodes[0], 1 << 30)
 
-    cluster_report = cluster.run(on_tick=on_tick)
-    while pending:
-        fire(pending.pop(0))
-        cluster.drain(2 * FLAP_OUTAGE_CYCLES)
+    cluster_report = fleet.run({
+        NODE_KILL: fleet.kill,
+        NODE_RECOVER: lambda event: recover_when_down(event.nodes[0]),
+        REPLICA_LAG: lambda event: cluster.inject_replica_lag(
+            event.nodes[0], REPLICA_LAG_CYCLES
+        ),
+        NET_PARTITION: fleet.partition,
+        NET_HEAL: heal,
+        LOG_TRUNCATE: truncate_log,
+    })
     # Let deferred restarts land, then let the recoveries catch up and
     # every apply stream drain, before judging convergence (bounded).
     for _ in range(16):
@@ -1113,8 +1031,8 @@ def run_recovery_chaos(
         cluster.drain(RECOVERY_DRAIN_CYCLES)
     replication_settled = cluster.drain_replication(RECOVERY_DRAIN_CYCLES)
 
-    verdict = recorder.check()
-    written = recorder.written_keys()
+    verdict = fleet.recorder.check()
+    written = fleet.recorder.written_keys()
     finals = cluster.final_values(written)
     diverged = sorted(
         pos for pos, values in finals.items()
@@ -1126,55 +1044,19 @@ def run_recovery_chaos(
         if not set(values.values())
         <= verdict.possible_finals.get(pos, frozenset())
     )
-    write_problems = cluster.write_audit()
-
-    fleet = cluster_report.fleet
-    phases = cluster_report.phases
-    terminal = fleet["completed"] + fleet["failed"] + fleet["giveups"]
-    replication_stats = fleet.get("replication", {})
-    from ..serve.cluster.membership import NodeState
-
-    report = ClusterChaosReport(
-        scheme=cluster.scheme,
-        seed=seed,
-        nodes=nodes,
-        replication=replication,
-        requests=budget,
-        events=[event.row() for event in events],
-        cluster={
-            "fleet": fleet,
-            "phases": phases,
-            "tenants": cluster_report.tenants,
-            "node_rows": cluster_report.node_rows,
-            "membership_log": cluster_report.membership_log,
-            "rebalances": cluster_report.rebalances,
-            "elapsed_cycles": cluster_report.elapsed_cycles,
-        },
-        checks={
-            "result_errors": fleet["result_errors"],
-            "availability": fleet["availability"],
-            "min_phase_availability": min(
-                phase["availability"] for phase in phases
-            ),
-            "availability_floor": availability_floor,
-            "terminal": terminal,
-            "budget": budget,
-            "issued_resolved": fleet["issued"]
-            == fleet["completed"] + fleet["failed"],
+    replication_stats = cluster_report.fleet.get("replication", {})
+    report = fleet.report(
+        cluster_report,
+        verdict,
+        {
             "write_quorum": quorum,
             "replication_settled": replication_settled,
-            "history_ops": verdict.ops,
-            "history_linearizable": verdict.linearizable,
-            "history_violations": sorted(verdict.violations),
-            "history_inconclusive": len(verdict.inconclusive),
             "written_keys": len(written),
             "diverged_keys": diverged,
             "lost_acked_writes": lost_acked,
-            "write_problems": write_problems,
+            "write_problems": cluster.write_audit(),
             "recoveries": len(cluster.recoveries),
-            "node_kills": sum(
-                1 for e in events if e.action == NODE_KILL
-            ),
+            "node_kills": _count(fleet.events, NODE_KILL),
             "gaps_detected": replication_stats.get("gaps_detected", 0),
             "resyncs": replication_stats.get("resyncs", 0),
             "hint_overflows": replication_stats.get("hint_overflows", 0),
@@ -1184,9 +1066,6 @@ def run_recovery_chaos(
                 cluster.membership.state_of(node) is NodeState.UP
                 for node in range(nodes)
             ),
-            "lost_inflight": fleet["lost_inflight"],
-            "timeouts": fleet["timeouts"],
-            "retries": fleet["retries"],
         },
     )
     if verify:
@@ -1196,67 +1075,41 @@ def run_recovery_chaos(
 
 def _verify_recovery(report: ClusterChaosReport) -> None:
     checks = report.checks
-    problems = []
-    if checks["result_errors"]:
-        problems.append(f"{checks['result_errors']} wrong results")
-    if checks["terminal"] != checks["budget"]:
-        problems.append(
-            f"{checks['budget'] - checks['terminal']} requests never "
-            "reached a terminal outcome (hang)"
-        )
-    if not checks["issued_resolved"]:
-        problems.append("issued requests unaccounted for at the LB (hang)")
-    floor = checks["availability_floor"]
-    if checks["min_phase_availability"] < floor:
-        problems.append(
-            f"phase availability {checks['min_phase_availability']:.4f} "
-            f"below the {floor:.4f} floor"
-        )
-    if checks["availability"] < floor:
-        problems.append(
-            f"aggregate availability {checks['availability']:.4f} below "
-            f"the {floor:.4f} floor"
-        )
-    if any(event["fired_cycle"] is None for event in report.events):
-        problems.append("recovery chaos schedule did not complete")
-    if not checks["replication_settled"]:
-        problems.append("replication did not settle after the drain")
-    if not checks["history_linearizable"]:
-        problems.append(
-            "per-key history is not linearizable (keys "
-            f"{checks['history_violations']})"
-        )
-    if checks["lost_acked_writes"]:
-        problems.append(
-            "acknowledged writes lost on keys "
-            f"{checks['lost_acked_writes']}"
-        )
-    if checks["diverged_keys"]:
-        problems.append(
-            f"replicas diverged on keys {checks['diverged_keys']}"
-        )
-    if checks["write_problems"]:
-        problems.append(
-            f"shadow-oracle write audit: {checks['write_problems']}"
-        )
-    if checks["recoveries"] < checks["node_kills"]:
-        problems.append(
-            f"only {checks['recoveries']} of {checks['node_kills']} "
-            "killed nodes completed catch-up"
-        )
-    if not checks["all_nodes_up"]:
-        problems.append("a node ended the run below UP")
-    if checks["gaps_detected"] < 1 or checks["resyncs"] < 1:
-        problems.append(
-            "the truncated-log leg exercised no gap detection / resync "
-            f"(gaps={checks['gaps_detected']}, "
-            f"resyncs={checks['resyncs']})"
-        )
-    if problems:
-        raise ChaosError(
-            f"recovery chaos contract violated on {report.scheme}: "
-            + "; ".join(problems)
-        )
+    _verify_fleet(
+        report,
+        "recovery chaos",
+        [
+            (
+                not checks["replication_settled"],
+                "replication did not settle after the drain",
+            ),
+            (
+                checks["lost_acked_writes"],
+                "acknowledged writes lost on keys "
+                f"{checks['lost_acked_writes']}",
+            ),
+            (
+                checks["diverged_keys"],
+                f"replicas diverged on keys {checks['diverged_keys']}",
+            ),
+            (
+                checks["write_problems"],
+                f"shadow-oracle write audit: {checks['write_problems']}",
+            ),
+            (
+                checks["recoveries"] < checks["node_kills"],
+                f"only {checks['recoveries']} of {checks['node_kills']} "
+                "killed nodes completed catch-up",
+            ),
+            (not checks["all_nodes_up"], "a node ended the run below UP"),
+            (
+                checks["gaps_detected"] < 1 or checks["resyncs"] < 1,
+                "the truncated-log leg exercised no gap detection / resync "
+                f"(gaps={checks['gaps_detected']}, "
+                f"resyncs={checks['resyncs']})",
+            ),
+        ],
+    )
 
 
 def recovery_chaos_experiment(
@@ -1274,13 +1127,7 @@ def recovery_chaos_experiment(
     replica, truncate a commit log, and assert zero lost acknowledged
     writes plus a linearizable per-key history, with a same-seed
     determinism re-run."""
-    from ..analysis.report import ExperimentResult
-
-    scheme_names = [
-        IntegrationScheme.parse(s).value
-        for s in (schemes or [IntegrationScheme.CHA_TLB.value])
-    ]
-    result = ExperimentResult(
+    result, reports = _cluster_phase_table(
         "recovery-chaos",
         (
             f"{requests} mixed read/write requests x {tenants} tenants "
@@ -1288,72 +1135,23 @@ def recovery_chaos_experiment(
             "node crashes + replica lag + 1 partition + 1 log truncation "
             f"(seed {seed})"
         ),
-        [
-            "scheme",
-            "phase",
-            "issued",
-            "completed",
-            "failed",
-            "giveups",
-            "availability",
-            "p99",
-        ],
+        schemes,
+        partial(
+            run_recovery_chaos, seed=seed, requests=requests, nodes=nodes,
+            replication=replication, quorum=quorum, tenants=tenants,
+        ),
+        repeats,
+        "recovery chaos",
     )
-    for scheme in scheme_names:
-        report = run_recovery_chaos(
-            scheme,
-            seed=seed,
-            requests=requests,
-            nodes=nodes,
-            replication=replication,
-            quorum=quorum,
-            tenants=tenants,
-        )
-        for _ in range(max(0, repeats - 1)):
-            again = run_recovery_chaos(
-                scheme,
-                seed=seed,
-                requests=requests,
-                nodes=nodes,
-                replication=replication,
-                quorum=quorum,
-                tenants=tenants,
-            )
-            if again.dump() != report.dump():
-                raise ChaosError(
-                    f"recovery chaos run on {scheme} is not "
-                    "deterministic: same-seed re-run produced a "
-                    "different report"
-                )
-        for phase in report.cluster["phases"]:
-            result.add_row(
-                scheme=scheme,
-                phase=phase["name"],
-                issued=phase["issued"],
-                completed=phase["completed"],
-                failed=phase["failed"],
-                giveups=phase["giveups"],
-                availability=phase["availability"],
-                p99=phase["p99"],
-            )
-        fleet = report.cluster["fleet"]
-        result.add_row(
-            scheme=scheme,
-            phase="all",
-            issued=fleet["issued"],
-            completed=fleet["completed"],
-            failed=fleet["failed"],
-            giveups=fleet["giveups"],
-            availability=report.checks["availability"],
-            p99="",
-        )
+    for scheme, report in reports:
+        checks = report.checks
         result.notes.append(
-            f"{scheme}: {report.checks['history_ops']} client ops over "
-            f"{report.checks['written_keys']} written keys -- history "
+            f"{scheme}: {checks['history_ops']} client ops over "
+            f"{checks['written_keys']} written keys -- history "
             "linearizable, 0 lost acknowledged writes, 0 diverged "
-            f"replicas; {report.checks['recoveries']} crash recoveries "
-            f"({report.checks['resyncs']} full resyncs after "
-            f"{report.checks['gaps_detected']} detected log gaps)"
+            f"replicas; {checks['recoveries']} crash recoveries "
+            f"({checks['resyncs']} full resyncs after "
+            f"{checks['gaps_detected']} detected log gaps)"
         )
     result.notes.append(
         "contract: every write acknowledged at quorum W survives both "

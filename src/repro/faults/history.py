@@ -32,7 +32,8 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from ..core.cfa import OP_DELETE, OP_LOOKUP
 
 #: Per-key search budget: states explored beyond this mark the key
-#: *inconclusive* (reported, not failed) instead of hanging the check.
+#: *inconclusive* instead of hanging the check; the chaos drills fail on
+#: any inconclusive key.
 _STATE_BUDGET = 500_000
 
 
@@ -68,8 +69,9 @@ class HistoryVerdict:
     linearizable: bool
     #: Keys whose completed history admits no linearization.
     violations: List[int] = field(default_factory=list)
-    #: Keys whose search exceeded the state budget (counted as passing,
-    #: but surfaced so a run cannot silently skip the check).
+    #: Keys whose search exceeded the state budget.  They leave
+    #: ``linearizable`` untouched but never count as a pass: the chaos
+    #: drills fail on any of them.
     inconclusive: List[int] = field(default_factory=list)
     #: Per key, every register value an admissible linearization (plus any
     #: suffix of undecided failed writes) can leave behind.

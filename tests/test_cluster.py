@@ -435,6 +435,27 @@ def test_recovery_chaos_is_deterministic():
     )
 
 
+def test_inconclusive_history_key_fails_the_cluster_drills():
+    # A key the linearizability checker could not decide within its state
+    # budget is never a pass, for either cluster drill.
+    from repro.faults.chaos import _verify_cluster, _verify_recovery
+
+    cluster = run_cluster_chaos(
+        "cha-tlb", seed=7, requests=160, nodes=4, tenants=2, verify=False
+    )
+    recovery = run_recovery_chaos(
+        "cha-tlb", seed=7, requests=120, nodes=4, tenants=2, verify=False
+    )
+    for report, verify in (
+        (cluster, _verify_cluster),
+        (recovery, _verify_recovery),
+    ):
+        verify(report)  # the run itself meets the contract
+        report.checks["history_inconclusive"] = 1
+        with pytest.raises(ChaosError, match="inconclusive"):
+            verify(report)
+
+
 def test_recovery_chaos_schedule_needs_a_quorum_of_nodes():
     with pytest.raises(ChaosError):
         recovery_chaos_schedule(3, 200)
