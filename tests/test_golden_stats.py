@@ -54,6 +54,18 @@ CHAOS_CASES = {
     ),
 }
 
+#: The paper-figure drivers (``format()`` of one quick run) that compare
+#: QEI against a software baseline, at a size that pins every row shape.
+FIGURE_CASES = {
+    "fig1_profiling": dict(workloads=["dpdk"]),
+    "fig7_speedup": dict(workloads=["dpdk"]),
+    "fig8_latency_sweep": dict(workloads=["dpdk"], latencies=[50, 2000]),
+    "fig9_end_to_end": dict(workloads=["dpdk"]),
+    "fig10_tuple_space": dict(tuple_counts=[5]),
+    "fig11_instruction_count": dict(workloads=["dpdk"]),
+    "fig12_dynamic_power": dict(workloads=["dpdk"]),
+}
+
 #: The two configurations every simulated number must agree across: the
 #: default, with every hot-path layer on, and the full reference, with the
 #: three test seams off — the unfused (``QeiAccelerator._fuse``) generic
@@ -130,8 +142,19 @@ def _measure_chaos(name: str) -> dict:
     return {"sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
+def _measure_figure(name: str) -> dict:
+    from repro.analysis import experiments
+
+    # Start from an empty ROI memo so each pin computes its own runs
+    # whatever figure ran earlier in the process.
+    experiments._PAIR_MEMO.clear()
+    driver = getattr(experiments, name)
+    text = driver(quick=True, **FIGURE_CASES[name]).format()
+    return {"sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
 def capture() -> dict:
-    golden = {"pairs": {}, "serve": {}, "chaos": {}}
+    golden = {"pairs": {}, "serve": {}, "chaos": {}, "figures": {}}
     for workload, scheme in PAIRS:
         golden["pairs"][f"{workload}/{scheme}"] = _measure_pair(workload, scheme)
     for scheme, tenants, requests, seed in SERVE_CASES:
@@ -139,6 +162,8 @@ def capture() -> dict:
         golden["serve"][key] = _measure_serve(scheme, tenants, requests, seed)
     for name in CHAOS_CASES:
         golden["chaos"][name] = _measure_chaos(name)
+    for name in FIGURE_CASES:
+        golden["figures"][name] = _measure_figure(name)
     return golden
 
 
@@ -164,6 +189,12 @@ def test_serve_report_matches_golden(scheme, tenants, requests, seed):
 def test_chaos_output_matches_golden(name):
     golden = _load_golden()["chaos"][name]
     assert _measure_chaos(name) == golden
+
+
+@pytest.mark.parametrize("name", list(FIGURE_CASES))
+def test_figure_output_matches_golden(name):
+    golden = _load_golden()["figures"][name]
+    assert _measure_figure(name) == golden
 
 
 def test_reference_config_reaches_built_systems(monkeypatch):
