@@ -9,6 +9,7 @@ workload sizes.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import (
@@ -17,6 +18,7 @@ from ..config import (
     SchemeLatencyConfig,
     SystemConfig,
 )
+from ..errors import ConfigurationError
 from ..power import DynamicEnergyModel, tab3_configurations
 from ..system import System
 from ..workloads import make_workload, run_baseline, run_qei
@@ -71,7 +73,7 @@ def _build(name: str, scheme: str, quick: bool, config: Optional[SystemConfig] =
     # analysis/snapshot.py): the first build per (name, params) captures a
     # template of the populated memory image; later builds restore it via
     # deepcopy instead of re-running O(dataset) population.  Custom configs
-    # always build fresh (same policy as _PAIR_MEMO).
+    # always build fresh and capture nothing.
     params = workload_params(name, quick)
     if config is None:
         snap = snapshot.get(name, params)
@@ -84,45 +86,77 @@ def _build(name: str, scheme: str, quick: bool, config: Optional[SystemConfig] =
     return system, workload
 
 
-#: (workload, scheme, quick) -> (baseline, qei, baseline stats delta, qei
-#: stats delta).  Fig. 7/11/12 all time the exact same deterministic ROI
-#: pairs on fresh default-config systems, so within one process (one
-#: ``repro all`` task) each pair runs once and is shared.  Only the
-#: default config is memoized — custom configs (fig8's latency sweep)
-#: always run fresh.  Systems are not retained (they hold the preallocated
-#: cache set tables); only the run results and stats deltas are.
-_PAIR_MEMO: Dict[Tuple[str, str, bool], Tuple[RoiRun, RoiRun, dict, dict]] = {}
+#: (workload, scheme, quick) -> (ROI run, stats delta around it).  Fig.
+#: 7/11/12 all time the exact same deterministic ROI runs on fresh
+#: systems, so within one process (one ``repro all`` task) each run happens
+#: once and is shared.  The software baseline runs on the core alone and
+#: reads neither the scheme nor the device latencies, so each workload has
+#: one baseline entry, under ``scheme=None``, shared by every scheme and by
+#: fig8's latency sweep.  QEI entries are per scheme and default config
+#: only — fig8's custom-latency QEI runs always build fresh.  Systems are
+#: not retained (they hold the preallocated cache set tables); only the run
+#: results and stats deltas are.
+_PAIR_MEMO: Dict[Tuple[str, Optional[str], bool], Tuple[RoiRun, dict]] = {}
+
+
+def _measured(run: Callable[..., RoiRun], system: System, workload) -> Tuple[RoiRun, dict]:
+    before = system.stats.snapshot()
+    result = run(system, workload)
+    return result, system.stats.diff(before)
+
+
+def _baseline(
+    name: str, scheme: str, quick: bool, config: Optional[SystemConfig] = None
+) -> Tuple[RoiRun, dict]:
+    """The workload's memoized software baseline and its stats delta.
+
+    The first caller builds it on its own ``scheme`` and ``config``; the
+    run is the same on every scheme and device latency (only zero-valued
+    ``qei.<scheme>.*`` counters differ), which
+    ``tests/test_baseline_memo.py`` pins.
+    """
+    key = (name, None, quick)
+    hit = _PAIR_MEMO.get(key)
+    if hit is None:
+        system, workload = _build(name, scheme, quick, config)
+        hit = _PAIR_MEMO[key] = _measured(run_baseline, system, workload)
+    return hit
 
 
 def _pair_stats(name: str, scheme: str, quick: bool) -> Tuple[RoiRun, RoiRun, dict, dict]:
     """Memoized baseline/QEI ROI pair with stats deltas around each run."""
+    baseline, delta_b = _baseline(name, scheme, quick)
     key = (name, scheme, quick)
     hit = _PAIR_MEMO.get(key)
     if hit is None:
-        sys_b, wl_b = _build(name, scheme, quick)
-        before_b = sys_b.stats.snapshot()
-        baseline = run_baseline(sys_b, wl_b)
-        delta_b = sys_b.stats.diff(before_b)
-        sys_q, wl_q = _build(name, scheme, quick)
-        before_q = sys_q.stats.snapshot()
-        qei = run_qei(sys_q, wl_q)
-        delta_q = sys_q.stats.diff(before_q)
-        hit = _PAIR_MEMO[key] = (baseline, qei, delta_b, delta_q)
-    return hit
+        system, workload = _build(name, scheme, quick)
+        hit = _PAIR_MEMO[key] = _measured(run_qei, system, workload)
+    qei, delta_q = hit
+    return baseline, qei, delta_b, delta_q
 
 
 def _pair(
-    name: str, scheme: str, quick: bool, config=None
-) -> Tuple[RoiRun, RoiRun, Optional[System]]:
-    """Baseline on one fresh system, QEI on another (fair cold/warm state)."""
-    if config is not None:
-        sys_b, wl_b = _build(name, scheme, quick, config)
-        baseline = run_baseline(sys_b, wl_b)
-        sys_q, wl_q = _build(name, scheme, quick, config)
-        qei = run_qei(sys_q, wl_q)
-        return baseline, qei, sys_q
-    baseline, qei, _, _ = _pair_stats(name, scheme, quick)
-    return baseline, qei, None
+    name: str, scheme: str, quick: bool, config: Optional[SystemConfig] = None
+) -> Tuple[RoiRun, RoiRun]:
+    """Software baseline and QEI ROI runs of one (workload, scheme) cell.
+
+    Each run has its own fresh system (fair cold/warm state).  Under a
+    custom ``config`` the QEI side builds fresh and is not memoized, while
+    the baseline still comes from the per-workload memo — so ``config``
+    may differ from the default only in the scheme latencies, which the
+    baseline never reads.
+    """
+    if config is None:
+        baseline, qei, _, _ = _pair_stats(name, scheme, quick)
+        return baseline, qei
+    if replace(config, scheme_latencies=dict(DEFAULT_SCHEME_LATENCIES)) != SystemConfig():
+        raise ConfigurationError(
+            "an ROI pair config may differ from the default only in"
+            " scheme_latencies: the software baseline is memoized per workload"
+        )
+    baseline, _ = _baseline(name, scheme, quick, config)
+    system, workload = _build(name, scheme, quick, config)
+    return baseline, run_qei(system, workload)
 
 
 # --------------------------------------------------------------------- #
@@ -185,7 +219,7 @@ def fig7_speedup(
     for name in workloads or list(BENCH_WORKLOADS):
         row = {"workload": name}
         for scheme in schemes:
-            baseline, qei, _ = _pair(name, scheme, quick)
+            baseline, qei = _pair(name, scheme, quick)
             row[scheme] = baseline.cycles / qei.cycles
         result.add_row(**row)
     return result
@@ -194,6 +228,13 @@ def fig7_speedup(
 # --------------------------------------------------------------------- #
 # Fig. 8 — Device-indirect latency sensitivity
 # --------------------------------------------------------------------- #
+
+
+def _device_latency_config(latency: int) -> SystemConfig:
+    """The default config with Device-indirect's data-access latency set."""
+    overrides = dict(DEFAULT_SCHEME_LATENCIES)
+    overrides[IntegrationScheme.DEVICE_INDIRECT] = SchemeLatencyConfig(300, latency)
+    return SystemConfig(scheme_latencies=overrides)
 
 
 def fig8_latency_sweep(
@@ -212,14 +253,10 @@ def fig8_latency_sweep(
         notes=["paper: non-trivial performance drop as latency grows"],
     )
     for latency in latencies:
-        overrides = dict(DEFAULT_SCHEME_LATENCIES)
-        overrides[IntegrationScheme.DEVICE_INDIRECT] = SchemeLatencyConfig(
-            300, latency
-        )
-        config = SystemConfig(scheme_latencies=overrides)
+        config = _device_latency_config(latency)
         row = {"latency_cycles": latency}
         for name in names:
-            baseline, qei, _ = _pair(name, "device-indirect", quick, config)
+            baseline, qei = _pair(name, "device-indirect", quick, config)
             row[name] = baseline.cycles / qei.cycles
         result.add_row(**row)
     return result
@@ -283,22 +320,23 @@ def fig10_tuple_space(
     )
     packets = 24 if quick else 48
     flows = 256 if quick else 512
+
+    def build(scheme: str, tuples: int):
+        system = System(scheme=scheme)
+        workload = TupleSpaceWorkload(
+            system, num_tuples=tuples, flows_per_tuple=flows,
+            num_packets=packets, num_buckets=256,
+        )
+        workload.build()
+        return system, workload
+
     for tuples in tuple_counts:
+        # The software baseline never reaches the accelerator: one run
+        # serves every scheme.
+        baseline = run_baseline(*build(schemes[0], tuples))
         row = {"tuples": tuples}
         for scheme in schemes:
-            sys_b = System(scheme=scheme)
-            wl_b = TupleSpaceWorkload(
-                sys_b, num_tuples=tuples, flows_per_tuple=flows,
-                num_packets=packets, num_buckets=256,
-            )
-            wl_b.build()
-            baseline = run_baseline(sys_b, wl_b)
-            sys_q = System(scheme=scheme)
-            wl_q = TupleSpaceWorkload(
-                sys_q, num_tuples=tuples, flows_per_tuple=flows,
-                num_packets=packets, num_buckets=256,
-            )
-            wl_q.build()
+            sys_q, wl_q = build(scheme, tuples)
             qei = run_qei(
                 sys_q, wl_q, non_blocking=True, poll_every=wl_q.nb_poll_every()
             )
@@ -323,7 +361,7 @@ def fig11_instruction_count(
         notes=["paper: a significant share of ROI instructions is eliminated"],
     )
     for name in workloads or list(BENCH_WORKLOADS):
-        baseline, qei, _ = _pair(name, "core-integrated", quick)
+        baseline, qei = _pair(name, "core-integrated", quick)
         reduction = 100.0 * (1 - qei.instructions / baseline.instructions)
         result.add_row(
             workload=name,

@@ -22,8 +22,11 @@ after an ordinary build.  ``tests/test_golden_stats.py`` holds this path
 to the same hashes as cold builds.
 
 Snapshots apply only to default-config systems (``config is None``);
-custom configs (fig8's latency sweep) always build fresh, mirroring the
-``_PAIR_MEMO`` policy in :mod:`repro.analysis.experiments`.
+custom-config builds always build fresh and capture nothing.  In fig8's
+latency sweep that is every QEI run and, when fig8 runs first, the one
+software baseline per workload it puts in ``_PAIR_MEMO``
+(:mod:`repro.analysis.experiments`), which every scheme and latency then
+share.
 
 Pass ``--no-snapshot`` to ``python -m repro`` (or call
 :func:`set_enabled`) to disable and rebuild everything from scratch.
