@@ -10,7 +10,6 @@ table/figure, ablation, or serving run from the shell::
     qei serve --scheme cha-tlb --tenants 4 --requests 20000
     qei all --jobs 4            # shard experiments over worker processes
     qei all --no-cache          # ignore + skip the on-disk result cache
-    qei all --no-snapshot       # rebuild workloads instead of reusing snapshots
     qei fig7 --profile fig7.prof  # cProfile the run, dump stats to fig7.prof
 
 Results print as the same fixed-width tables the benchmark harness shows,
@@ -77,12 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="bypass the on-disk result cache (.repro_cache/)",
-    )
-    parser.add_argument(
-        "--no-snapshot",
-        action="store_true",
-        help="disable warm-system snapshot reuse; rebuild every workload "
-        "from scratch",
     )
     parser.add_argument(
         "--profile",
@@ -222,10 +215,6 @@ def run(names, args: argparse.Namespace) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.no_snapshot:
-        from .analysis import snapshot
-
-        snapshot.set_enabled(False)
     if args.profile:
         import cProfile
 

@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import (
     DEFAULT_SCHEME_LATENCIES,
+    SCHEME_ORDER,
     IntegrationScheme,
     SchemeLatencyConfig,
     SystemConfig,
@@ -28,15 +29,6 @@ from . import snapshot
 from .report import ExperimentResult
 
 ALL_SCHEMES = [s.value for s in IntegrationScheme]
-
-#: Scheme order used in the paper's figures.
-SCHEME_ORDER = [
-    IntegrationScheme.CHA_TLB.value,
-    IntegrationScheme.CHA_NOTLB.value,
-    IntegrationScheme.DEVICE_DIRECT.value,
-    IntegrationScheme.DEVICE_INDIRECT.value,
-    IntegrationScheme.CORE_INTEGRATED.value,
-]
 
 #: Per-workload parameters for experiment runs: (quick, full).
 BENCH_WORKLOADS: Dict[str, Tuple[dict, dict]] = {

@@ -20,21 +20,8 @@ import multiprocessing
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from . import snapshot
 from .report import ExperimentResult
 from .rescache import ResultCache
-
-
-def _init_worker(snapshots_enabled: bool) -> None:
-    """Pool initializer: propagate the snapshot flag out-of-band.
-
-    The flag is runtime plumbing, not an input that changes results
-    (snapshot restores are bit-identical to cold builds), so it travels via
-    the pool initializer rather than task kwargs — cache keys stay stable
-    whether or not snapshots are on.  Fork workers would inherit the flag
-    anyway; the initializer also covers spawn/forkserver contexts.
-    """
-    snapshot.set_enabled(snapshots_enabled)
 
 
 @dataclass(frozen=True)
@@ -118,11 +105,7 @@ def run_tasks(
                 context = multiprocessing.get_context("fork")
             except ValueError:  # platforms without fork
                 context = multiprocessing.get_context()
-            with context.Pool(
-                min(jobs, len(misses)),
-                initializer=_init_worker,
-                initargs=(snapshot.enabled(),),
-            ) as pool:
+            with context.Pool(min(jobs, len(misses))) as pool:
                 fresh = pool.map(execute_task, [tasks[i] for i in misses])
         else:
             fresh = [execute_task(tasks[i]) for i in misses]

@@ -45,6 +45,16 @@ class IntegrationScheme(str, Enum):
             ) from exc
 
 
+#: Scheme order used in the paper's figures, and the default scheme list of
+#: every multi-scheme driver (figures, serving, fault campaign).
+SCHEME_ORDER = [
+    IntegrationScheme.CHA_TLB.value,
+    IntegrationScheme.CHA_NOTLB.value,
+    IntegrationScheme.DEVICE_DIRECT.value,
+    IntegrationScheme.DEVICE_INDIRECT.value,
+    IntegrationScheme.CORE_INTEGRATED.value,
+]
+
 #: Schemes whose comparators sit in the CHAs (distributed near-LLC compare).
 DISTRIBUTED_SCHEMES = frozenset(
     {

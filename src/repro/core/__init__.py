@@ -6,7 +6,10 @@ Components (Sec. III–V):
 * :mod:`cfa` — the configurable-finite-automaton model, micro-operation
   vocabulary, and the firmware registry.
 * :mod:`programs` — built-in CFA programs for linked list, hash table,
-  skip list, binary tree, trie/Aho-Corasick, and hash-of-lists (subtype).
+  skip list, binary tree, trie/Aho-Corasick/LPM, and hash-of-lists, each
+  written once as a compiled closure (:mod:`programs_ext`: B+-tree).
+* :mod:`specialize` — the compiled step protocol and the firmware-load
+  pass that binds each program to its closure (or its prebound ``step``).
 * :mod:`qst` — the Query State Table.
 * :mod:`dpu` — data processing unit (ALUs, comparators, hash unit).
 * :mod:`accelerator` — the CFA Execution Engine tying it all together.

@@ -33,9 +33,10 @@ correct ``engine.now``.  ``tests/test_golden_stats.py`` pins that fusion
 changes no simulated number.
 
 **CFA specialization + batched ready-drain.**  Orthogonally to fusion, each
-registered firmware program is compiled at load/hot-swap time into a flat
-step closure (:mod:`repro.core.specialize`): pre-bound constants,
-slot-indexed scratch registers, tuple micro-ops the driver
+registered firmware program is bound at load/hot-swap time to a flat step
+closure (:mod:`repro.core.specialize`) — for the built-in lookups, the
+closure that *is* their CFA definition: pre-bound constants, slot-indexed
+scratch registers, tuple micro-ops the driver
 (:meth:`QeiAccelerator._step_at_fast`) executes inline with no firmware
 probe and no dataclass allocation.  Queries with a compiled program skip
 the engine's one-event-per-wake scheduling too: their pending steps/wakes
@@ -49,9 +50,10 @@ steps in precisely the order the one-event-per-transition interpreter
 would, interleaved correctly against ordinary engine events
 (:meth:`~repro.sim.engine.Engine.peek_key` decides who goes first on
 same-cycle ties).  Patching the ``QeiAccelerator._specialize`` seam to
-``False`` forces the generic interpreter for every query, and the
-golden-stats suite pins the default and the full-reference configuration
-to identical output.
+``False`` forces the generic interpreter for every query — which runs each
+built-in lookup through the ``step`` derived from that same closure — and
+the golden-stats suite pins the default and the full-reference
+configuration to identical output.
 """
 
 from __future__ import annotations
@@ -427,7 +429,7 @@ class QeiAccelerator:
                 self._schedule_step(entry, self.engine.now)
             else:
                 if not fn.prebound:
-                    # Specialized tier: slot-indexed registers, int states.
+                    # Closure tier: slot-indexed registers, int states.
                     ctx.scratch = [0] * fn.nregs  # type: ignore[assignment]
                     ctx.state = 0  # type: ignore[assignment]
                 self._sched_fast(entry, self.engine.now)

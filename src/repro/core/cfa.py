@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import FirmwareError
 from .abort import AbortCode
 from .header import DataStructureHeader
+
+if TYPE_CHECKING:
+    from .specialize import CompiledStep
 
 #: Architectural states shared by every program (Sec. IV-C / IV-D).
 STATE_IDLE = "IDLE"
@@ -257,7 +260,9 @@ class CfaProgram:
     implement :meth:`step`, which is invoked by the CEE each time the query's
     QST entry is selected.  ``step`` inspects ``ctx.state`` (and scratch
     contents filled by completed micro-ops) and returns a
-    :class:`StepOutcome`.
+    :class:`StepOutcome`.  A program may instead define its CFA as a
+    compiled closure (:meth:`compiled`) and derive ``step`` from it, as the
+    built-in lookups in :mod:`repro.core.programs` do.
     """
 
     TYPE_CODE: int = 0
@@ -272,6 +277,13 @@ class CfaProgram:
 
     def step(self, ctx: QueryContext) -> StepOutcome:
         raise NotImplementedError
+
+    def compiled(self) -> Optional["CompiledStep"]:
+        """The program's compiled step closure; None runs it prebound.
+
+        See :mod:`repro.core.specialize` for the closure protocol.
+        """
+        return None
 
     def validate_header(
         self, header: DataStructureHeader, raw: bytes = b""

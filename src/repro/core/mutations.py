@@ -77,7 +77,6 @@ from .header import (
     StructureType,
     VERSION_OFFSET,
 )
-from .programs import _u64
 
 _SLOT = 16
 _BTREE_HEADER = 40
@@ -94,6 +93,10 @@ MUT_DELETED = 3
 #: seeds replay identical schedules.
 BACKOFF_BASE_CYCLES = 32
 MAX_LOCK_ATTEMPTS = 4
+
+
+def _u64(data: bytes, offset: int = 0) -> int:
+    return int.from_bytes(data[offset : offset + 8], "little")
 
 
 class _MutationProgram(CfaProgram):

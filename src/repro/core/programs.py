@@ -1,27 +1,32 @@
 """Built-in CFA programs: the firmware shipped with QEI.
 
 One program per data-structure type (Sec. III-A): linked list, cuckoo hash
-table, skip list, binary tree, trie (with an Aho-Corasick scan subtype), and
-— registered at runtime as the firmware-update example — hash-of-lists.
+table, skip list, binary tree, trie (with Aho-Corasick scan and
+longest-prefix-match subtypes), and — registered at runtime as the
+firmware-update example — hash-of-lists.
+
+Each CFA is written once, as the compiled closure its class builds in
+``_compile`` (the tuple protocol of :mod:`repro.core.specialize`): states
+are small ints, per-query state lives in slot-indexed registers, and every
+step returns one tuple micro-op.  The class around it carries the
+firmware metadata (type code, name, declared states, subtype/size rules,
+:meth:`~repro.core.cfa.CfaProgram.validate_header`), and
+:meth:`_StandardProgram.step` derives the generic interpreter's
+:class:`~repro.core.cfa.StepOutcome` form from the closure, so the
+accelerator's compiled and reference paths run the same definition.
 
 Programs never touch simulated memory directly: they see only bytes the
-engine staged into their QST scratch after :class:`~repro.core.cfa.MemRead`
-micro-ops, and comparator/hash-unit outputs in ``ctx.results``.  Pointer
-arithmetic is charged via :class:`~repro.core.cfa.AluOp` transitions.
-
-Every program in this module has a compiled twin in
-:mod:`repro.core.specialize` (matched by *exact* class, so subclasses are
-safe — they fall back to the generic interpreter via the prebound tier).
-If you change a program's step semantics here, update its specializer too;
-``tests/test_specialize_properties.py`` and the four-mode golden-stats
-grid fail loudly when the twins drift.
+engine staged into their registers after memory micro-ops, and
+comparator/hash-unit outputs.  Pointer arithmetic is charged via ALU
+transitions.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import struct
+from typing import Callable, Optional
 
-from ..datastructs.hashing import mix64, primary_hash, secondary_hash, signature_of
+from ..datastructs.hashing import secondary_hash, signature_of
 from .abort import AbortCode
 from .cfa import (
     AluOp,
@@ -39,59 +44,120 @@ from .cfa import (
     STATE_START,
 )
 from .header import FLAG_RESIZING, DataStructureHeader, StructureType
+from .specialize import (
+    CompiledStep,
+    K_ALU,
+    K_COMPARE,
+    K_DONE,
+    K_FAULT,
+    K_HASH,
+    K_MEMREAD,
+    K_MEMREAD_OPT,
+)
 
-_LIST_NODE = 24
-_TREE_NODE = 32
-_TRIE_NODE = 32
-_EDGE = 16
-_SLOT = 16
+_U64 = struct.Struct("<Q").unpack_from
 
-
-def _u64(data: bytes, offset: int = 0) -> int:
-    return int.from_bytes(data[offset : offset + 8], "little")
+#: Shared register slots every program uses (the prelude).
+_S_HEADER = 0
+_S_KEY = 1
 
 
 class _StandardProgram(CfaProgram):
-    """Shared prelude: fetch the header, parse it, fetch the key.
+    """Shared prelude (fetch the header, parse it, fetch the key) and the
+    interpreter adapter.
 
-    Subclasses implement :meth:`dispatch` for their type-specific states and
-    may override :meth:`after_parse` to choose the first specific state.
+    Subclasses define their CFA in :meth:`_compile`, wrapping their
+    type-specific ``dispatch`` and ``after_parse`` closures with
+    :meth:`_prelude`.  Subclasses inherit the parent's closure and may
+    override :meth:`validate_header`, which the prelude calls at PARSE.
     """
 
     PRELUDE_STATES = (STATE_START, "PARSE", "READ_KEY", STATE_DONE, STATE_EXCEPTION)
 
+    _compiled_step: Optional[CompiledStep] = None
+
+    def compiled(self) -> CompiledStep:
+        if self._compiled_step is None:
+            self._compiled_step = self._compile()
+        return self._compiled_step
+
+    def _compile(self) -> CompiledStep:
+        raise NotImplementedError
+
+    def _prelude(
+        self,
+        nregs: int,
+        dispatch: Callable[[QueryContext], tuple],
+        after_parse: Callable[[QueryContext], tuple],
+        key_fetch: Optional[Callable[[DataStructureHeader], int]] = None,
+    ) -> CompiledStep:
+        """Wrap a program's dispatch with the shared prelude.
+
+        States 0/1/2 are START/PARSE/READ_KEY; program states start at 3.
+        ``key_fetch`` overrides the key-fetch length (the trie streams long
+        inputs by the cacheline).
+        """
+        validate = self.validate_header
+
+        def step(ctx: QueryContext) -> tuple:
+            state = ctx.state
+            if state >= 3:
+                return dispatch(ctx)
+            regs = ctx.scratch
+            if state == 0:  # START
+                ctx.state = 1
+                return (K_MEMREAD, ctx.header_addr, 64, _S_HEADER)
+            if state == 1:  # PARSE
+                raw = regs[_S_HEADER]
+                header = DataStructureHeader.decode(raw)
+                code = validate(header, raw=raw)
+                if code is not AbortCode.NONE:
+                    return (K_FAULT, int(code), f"header rejected: {code.name}")
+                ctx.header = header
+                ctx.state = 2
+                kfl = header.key_length if key_fetch is None else key_fetch(header)
+                return (K_MEMREAD, ctx.key_addr, kfl, _S_KEY)
+            # READ_KEY: the fetched key is exactly the requested length.
+            ctx.key = regs[_S_KEY]
+            return after_parse(ctx)
+
+        return CompiledStep(step, nregs, False, self.NAME)
+
     def step(self, ctx: QueryContext) -> StepOutcome:
+        """The interpreter's form of this CFA, derived from the closure.
+
+        At START ``ctx.scratch`` is rebound to the closure's registers;
+        before each later step the comparator and hash-unit outputs the
+        engine left in ``ctx.results`` move into their registers.  Each
+        tuple micro-op becomes its dataclass form, addressed by register
+        slot, so the engine stages fetched bytes straight into registers.
+        """
+        compiled = self.compiled()
         if ctx.state == STATE_START:
-            return StepOutcome(
-                "PARSE", MemRead(ctx.header_addr, 64, "header")
-            )
-        if ctx.state == "PARSE":
-            raw = ctx.scratch["header"]
-            header = DataStructureHeader.decode(raw)
-            code = self.validate_header(header, raw=raw)
-            if code is not AbortCode.NONE:
-                return StepOutcome(
-                    STATE_EXCEPTION,
-                    Fault(code=int(code), detail=f"header rejected: {code.name}"),
-                )
-            ctx.header = header
-            return StepOutcome(
-                "READ_KEY",
-                MemRead(ctx.key_addr, self._key_fetch_length(ctx), "key"),
-            )
-        if ctx.state == "READ_KEY":
-            ctx.key = ctx.scratch["key"][: self._key_fetch_length(ctx)]
-            return self.after_parse(ctx)
-        return self.dispatch(ctx)
-
-    def _key_fetch_length(self, ctx: QueryContext) -> int:
-        return ctx.header.key_length if ctx.header else 64
-
-    def after_parse(self, ctx: QueryContext) -> StepOutcome:
-        raise NotImplementedError
-
-    def dispatch(self, ctx: QueryContext) -> StepOutcome:
-        raise NotImplementedError
+            ctx.scratch = [0] * compiled.nregs  # type: ignore[assignment]
+            ctx.state = 0  # type: ignore[assignment]
+        elif ctx.results:
+            regs = ctx.scratch
+            for slot, value in ctx.results.items():
+                regs[slot] = value  # type: ignore[index]
+            ctx.results.clear()
+        act = compiled.step(ctx)
+        kind = act[0]
+        if kind == K_DONE:
+            return StepOutcome(STATE_DONE, Done(act[1]))
+        if kind == K_FAULT:
+            return StepOutcome(STATE_EXCEPTION, Fault(code=act[1], detail=act[2]))
+        if kind == K_MEMREAD:
+            action = MemRead(act[1], act[2], act[3])
+        elif kind == K_MEMREAD_OPT:
+            action = MemRead(act[1], act[2], act[3], optional_after=act[4])
+        elif kind == K_COMPARE:
+            action = Compare(act[1], ctx.key_addr, act[2], act[3])
+        elif kind == K_HASH:
+            action = HashOp(act[1], act[2])
+        else:
+            action = AluOp(act[1])
+        return StepOutcome(ctx.state, action)
 
 
 class LinkedListCfa(_StandardProgram):
@@ -102,34 +168,39 @@ class LinkedListCfa(_StandardProgram):
     STATES = _StandardProgram.PRELUDE_STATES + ("FETCH_NODE", "COMPARE", "CHECK")
     SUBTYPE_MAX = 0
 
-    def after_parse(self, ctx: QueryContext) -> StepOutcome:
-        root = ctx.header.root_ptr
-        if not root:
-            return StepOutcome(STATE_DONE, Done(None))
-        ctx.vars["node"] = root
-        return StepOutcome("COMPARE", MemRead(root, _LIST_NODE, "node"))
+    def _compile(self) -> CompiledStep:
+        up = _U64
+        S_NODE, S_CMP, R_KLEN = 2, 3, 4
+        NULL_PTR = int(AbortCode.NULL_POINTER)
 
-    def dispatch(self, ctx: QueryContext) -> StepOutcome:
-        if ctx.state == "COMPARE":
-            key_ptr = ctx.scratch_u64("node", 0)
+        def after_parse(ctx):
+            regs = ctx.scratch
+            regs[R_KLEN] = ctx.header.key_length
+            root = ctx.header.root_ptr
+            if not root:
+                return (K_DONE, None)
+            ctx.state = 3
+            return (K_MEMREAD, root, 24, S_NODE)
+
+        def dispatch(ctx):
+            regs = ctx.scratch
+            node = regs[S_NODE]
+            if ctx.state == 4:  # CHECK
+                if regs[S_CMP] == 0:
+                    return (K_DONE, up(node, 8)[0])
+                nxt = up(node, 16)[0]
+                if not nxt:
+                    return (K_DONE, None)
+                ctx.state = 3
+                return (K_MEMREAD, nxt, 24, S_NODE)
+            # COMPARE
+            key_ptr = up(node, 0)[0]
             if not key_ptr:
-                return StepOutcome(
-                    STATE_EXCEPTION,
-                    Fault(code=int(AbortCode.NULL_POINTER), detail="null key pointer"),
-                )
-            return StepOutcome(
-                "CHECK",
-                Compare(key_ptr, ctx.key_addr, ctx.header.key_length, "cmp"),
-            )
-        if ctx.state == "CHECK":
-            if ctx.results["cmp"] == 0:
-                return StepOutcome(STATE_DONE, Done(ctx.scratch_u64("node", 8)))
-            nxt = ctx.scratch_u64("node", 16)
-            if not nxt:
-                return StepOutcome(STATE_DONE, Done(None))
-            ctx.vars["node"] = nxt
-            return StepOutcome("COMPARE", MemRead(nxt, _LIST_NODE, "node"))
-        raise AssertionError(f"unreachable state {ctx.state}")
+                return (K_FAULT, NULL_PTR, "null key pointer")
+            ctx.state = 4
+            return (K_COMPARE, key_ptr, regs[R_KLEN], S_CMP)
+
+        return self._prelude(5, dispatch, after_parse)
 
 
 class HashTableCfa(_StandardProgram):
@@ -152,135 +223,155 @@ class HashTableCfa(_StandardProgram):
     SUBTYPE_MAX = 128
     REQUIRES_SIZE = True
 
-    def after_parse(self, ctx: QueryContext) -> StepOutcome:
-        if ctx.header.flags & FLAG_RESIZING:
-            # An online resize is in flight: fetch the out-of-line resize
-            # descriptor {new_root, new_buckets, watermark} so candidate
-            # buckets can route old-vs-new (docs/mutations.md).
-            if not ctx.header.aux:
-                return StepOutcome(
-                    STATE_EXCEPTION,
-                    Fault(
-                        code=int(AbortCode.BAD_AUX),
-                        detail="RESIZING header without a descriptor pointer",
-                    ),
-                )
-            return StepOutcome("READ_DESC", MemRead(ctx.header.aux, 24, "desc"))
-        return StepOutcome("HASH", HashOp("key", "hash"))
+    def _compile(self) -> CompiledStep:
+        up = _U64
+        S_DESC, S_HASH, S_LINE, S_CMP, S_VALUE = 2, 3, 4, 5, 6
+        R_KLEN, R_BB, R_SIZE, R_SIG = 7, 8, 9, 10
+        R_B0, R_B1, R_B0ROOT, R_B1ROOT = 11, 12, 13, 14
+        R_WHICH, R_LINE, R_SLOT, R_KV = 15, 16, 17, 18
+        R_NEWROOT, R_NEWBUCKETS, R_WM, R_RESIZE = 19, 20, 21, 22
+        BAD_AUX = int(AbortCode.BAD_AUX)
 
-    def dispatch(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if ctx.state == "READ_DESC":
-            desc = ctx.scratch["desc"]
-            new_root, new_buckets = _u64(desc, 0), _u64(desc, 8)
-            watermark = _u64(desc, 16)
-            if not new_root or new_buckets != 2 * ctx.header.size:
-                return StepOutcome(
-                    STATE_EXCEPTION,
-                    Fault(
-                        code=int(AbortCode.BAD_AUX),
-                        detail="malformed resize descriptor",
-                    ),
-                )
-            v["new_root"] = new_root
-            v["new_buckets"] = new_buckets
-            v["watermark"] = min(watermark, ctx.header.size)
-            return StepOutcome("HASH", HashOp("key", "hash"))
-        if ctx.state == "HASH":
-            # The hash unit produced the primary hash; derive the signature
-            # and both candidate buckets with one ALU transition.
-            h1 = ctx.results["hash"]
-            h2 = secondary_hash(ctx.key)
-            num_buckets = ctx.header.size
-            sig = signature_of(ctx.key) or 1
-            v["sig"] = sig
-            root = ctx.header.root_ptr
-            if "new_root" in v:
-                # Route per candidate: old buckets below the migration
-                # watermark have moved to the doubled table, where the same
-                # hash indexes bucket (h % 2N) = b or b + N.
-                for slot, h in (("b0", h1), ("b1", h2)):
-                    old_bucket = h % num_buckets
-                    if old_bucket < v["watermark"]:
-                        v[slot] = h % v["new_buckets"]
-                        v[slot + "_root"] = v["new_root"]
-                    else:
-                        v[slot] = old_bucket
-                        v[slot + "_root"] = root
+        def read_line(ctx):
+            regs = ctx.scratch
+            if regs[R_WHICH] == 0:
+                bucket, broot = regs[R_B0], regs[R_B0ROOT]
             else:
-                v["b0"] = h1 % num_buckets
-                v["b1"] = h2 % num_buckets
-                v["b0_root"] = v["b1_root"] = root
-            v["which"] = 0
-            v["line"] = 0
-            v["pending"] = 0  # packed slot cursor within the loaded line
-            return StepOutcome("BUCKET_ADDR", AluOp())
-        if ctx.state == "BUCKET_ADDR":
-            return self._read_line(ctx)
-        if ctx.state == "SCAN":
-            return self._scan_line(ctx)
-        if ctx.state == "CHECK":
-            if ctx.results["cmp"] == 0:
-                kv = v["kv"]
-                return StepOutcome("READ_VALUE", MemRead(kv, 8, "value"))
-            return self._scan_line(ctx)  # keep scanning after a sig collision
-        if ctx.state == "READ_VALUE":
-            return StepOutcome(STATE_DONE, Done(ctx.scratch_u64("value")))
-        raise AssertionError(f"unreachable state {ctx.state}")
+                bucket, broot = regs[R_B1], regs[R_B1ROOT]
+            bucket_bytes = regs[R_BB]
+            offset = regs[R_LINE] * 64
+            remaining = bucket_bytes - offset
+            if remaining <= 0:
+                return next_bucket(ctx)
+            regs[R_SLOT] = 0
+            ctx.state = 6
+            return (
+                K_MEMREAD,
+                broot + bucket * bucket_bytes + offset,
+                64 if remaining > 64 else remaining,
+                S_LINE,
+            )
 
-    # ---------------- helpers ---------------- #
+        def scan_line(ctx):
+            """Signature pre-filter over the staged line (local DPU compare)."""
+            regs = ctx.scratch
+            line = regs[S_LINE]
+            slots_in_line = len(line) // 16
+            slot = regs[R_SLOT]
+            want = regs[R_SIG]
+            while slot < slots_in_line:
+                base = slot * 16
+                sig = up(line, base)[0]
+                kv = up(line, base + 8)[0]
+                slot += 1
+                if sig == want and kv:
+                    regs[R_SLOT] = slot
+                    regs[R_KV] = kv
+                    ctx.state = 7
+                    return (K_COMPARE, kv + 8, regs[R_KLEN], S_CMP)
+            regs[R_SLOT] = slot
+            regs[R_LINE] += 1
+            if regs[R_LINE] * 64 >= regs[R_BB]:
+                return next_bucket(ctx)
+            return read_line(ctx)
 
-    def _bucket_bytes(self, ctx: QueryContext) -> int:
-        return ctx.header.subtype * _SLOT
+        def next_bucket(ctx):
+            regs = ctx.scratch
+            if regs[R_WHICH] == 0:
+                regs[R_WHICH] = 1
+                regs[R_LINE] = 0
+                return read_line(ctx)
+            return (K_DONE, None)
 
-    def _read_line(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        which = "b0" if v["which"] == 0 else "b1"
-        bucket = v[which]
-        bucket_addr = v[which + "_root"] + bucket * self._bucket_bytes(ctx)
-        offset = v["line"] * 64
-        remaining = self._bucket_bytes(ctx) - offset
-        if remaining <= 0:
-            return self._next_bucket(ctx)
-        length = min(64, remaining)
-        v["slot_in_line"] = 0
-        v["line_base"] = bucket_addr + offset
-        return StepOutcome("SCAN", MemRead(bucket_addr + offset, length, "line"))
+        def after_parse(ctx):
+            regs = ctx.scratch
+            header = ctx.header
+            regs[R_KLEN] = header.key_length
+            regs[R_BB] = header.subtype * 16
+            regs[R_SIZE] = header.size
+            regs[R_RESIZE] = 0
+            if header.flags & FLAG_RESIZING:
+                # An online resize is in flight: fetch the out-of-line resize
+                # descriptor {new_root, new_buckets, watermark} so candidate
+                # buckets can route old-vs-new (docs/mutations.md).
+                if not header.aux:
+                    return (
+                        K_FAULT,
+                        BAD_AUX,
+                        "RESIZING header without a descriptor pointer",
+                    )
+                ctx.state = 3
+                return (K_MEMREAD, header.aux, 24, S_DESC)
+            ctx.state = 4
+            return (K_HASH, _S_KEY, S_HASH)
 
-    def _scan_line(self, ctx: QueryContext) -> StepOutcome:
-        """Signature pre-filter over the staged line (local DPU compare)."""
-        v = ctx.vars
-        line = ctx.scratch["line"]
-        slots_in_line = len(line) // _SLOT
-        slot = v["slot_in_line"]
-        while slot < slots_in_line:
-            sig = _u64(line, slot * _SLOT)
-            kv = _u64(line, slot * _SLOT + 8)
-            slot += 1
-            if sig == v["sig"] and kv:
-                v["slot_in_line"] = slot
-                v["kv"] = kv
-                return StepOutcome(
-                    "CHECK",
-                    Compare(kv + 8, ctx.key_addr, ctx.header.key_length, "cmp"),
-                )
-        v["slot_in_line"] = slot
-        v["line"] += 1
-        return self._advance_line(ctx)
+        def dispatch(ctx):
+            regs = ctx.scratch
+            state = ctx.state
+            if state == 6:  # SCAN
+                return scan_line(ctx)
+            if state == 7:  # CHECK
+                if regs[S_CMP] == 0:
+                    ctx.state = 8
+                    return (K_MEMREAD, regs[R_KV], 8, S_VALUE)
+                return scan_line(ctx)  # keep scanning after a sig collision
+            if state == 8:  # READ_VALUE
+                return (K_DONE, up(regs[S_VALUE], 0)[0])
+            if state == 5:  # BUCKET_ADDR
+                return read_line(ctx)
+            if state == 4:  # HASH
+                # The hash unit produced the primary hash; derive the
+                # signature and both candidate buckets with one ALU step.
+                h1 = regs[S_HASH]
+                key = ctx.key
+                h2 = secondary_hash(key)
+                regs[R_SIG] = signature_of(key) or 1
+                num_buckets = regs[R_SIZE]
+                root = ctx.header.root_ptr
+                if regs[R_RESIZE]:
+                    # Route per candidate: old buckets below the migration
+                    # watermark have moved to the doubled table, where the
+                    # same hash indexes bucket (h % 2N) = b or b + N.
+                    watermark = regs[R_WM]
+                    new_buckets = regs[R_NEWBUCKETS]
+                    new_root = regs[R_NEWROOT]
+                    b0 = h1 % num_buckets
+                    if b0 < watermark:
+                        regs[R_B0] = h1 % new_buckets
+                        regs[R_B0ROOT] = new_root
+                    else:
+                        regs[R_B0] = b0
+                        regs[R_B0ROOT] = root
+                    b1 = h2 % num_buckets
+                    if b1 < watermark:
+                        regs[R_B1] = h2 % new_buckets
+                        regs[R_B1ROOT] = new_root
+                    else:
+                        regs[R_B1] = b1
+                        regs[R_B1ROOT] = root
+                else:
+                    regs[R_B0] = h1 % num_buckets
+                    regs[R_B1] = h2 % num_buckets
+                    regs[R_B0ROOT] = regs[R_B1ROOT] = root
+                regs[R_WHICH] = 0
+                regs[R_LINE] = 0
+                ctx.state = 5
+                return (K_ALU, 1)
+            # READ_DESC
+            desc = regs[S_DESC]
+            new_root = up(desc, 0)[0]
+            new_buckets = up(desc, 8)[0]
+            watermark = up(desc, 16)[0]
+            if not new_root or new_buckets != 2 * regs[R_SIZE]:
+                return (K_FAULT, BAD_AUX, "malformed resize descriptor")
+            regs[R_NEWROOT] = new_root
+            regs[R_NEWBUCKETS] = new_buckets
+            regs[R_WM] = watermark if watermark < regs[R_SIZE] else regs[R_SIZE]
+            regs[R_RESIZE] = 1
+            ctx.state = 4
+            return (K_HASH, _S_KEY, S_HASH)
 
-    def _advance_line(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if v["line"] * 64 >= self._bucket_bytes(ctx):
-            return self._next_bucket(ctx)
-        return self._read_line(ctx)
-
-    def _next_bucket(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if v["which"] == 0:
-            v["which"] = 1
-            v["line"] = 0
-            return self._read_line(ctx)
-        return StepOutcome(STATE_DONE, Done(None))
+        return self._prelude(23, dispatch, after_parse)
 
 
 class SkipListCfa(_StandardProgram):
@@ -315,63 +406,73 @@ class SkipListCfa(_StandardProgram):
             return AbortCode.BAD_AUX
         return AbortCode.NONE
 
-    def after_parse(self, ctx: QueryContext) -> StepOutcome:
-        ctx.vars["node"] = ctx.header.root_ptr
-        ctx.vars["level"] = ctx.header.aux - 1  # aux = max_level
-        ctx.vars["staged"] = 0  # node address currently in scratch
-        if not ctx.header.root_ptr:
-            return StepOutcome(STATE_DONE, Done(None))
-        return self._read_ptr(ctx)
+    def _compile(self) -> CompiledStep:
+        up = _U64
+        S_NODE, S_PTR, S_NEXT, S_CMP = 2, 3, 4, 5
+        R_KLEN, R_NODE, R_LEVEL, R_STAGED, R_NEXT = 6, 7, 8, 9, 10
+        NULL_PTR = int(AbortCode.NULL_POINTER)
+        node_fetch = self.NODE_FETCH
 
-    def _read_ptr(self, ctx: QueryContext) -> StepOutcome:
-        """Obtain next[level] of the current node, reusing the staged line."""
-        v = ctx.vars
-        node, level = v["node"], v["level"]
-        offset = 24 + 8 * level
-        if v["staged"] == node and offset + 8 <= len(ctx.scratch.get("node", b"")):
-            ctx.scratch["ptr"] = ctx.scratch["node"][offset : offset + 8]
-            return StepOutcome("CHECK_PTR", AluOp())
-        return StepOutcome("CHECK_PTR", MemRead(node + offset, 8, "ptr"))
+        def read_ptr(ctx):
+            """Obtain next[level] of the current node, reusing the staged line."""
+            regs = ctx.scratch
+            node = regs[R_NODE]
+            offset = 24 + 8 * regs[R_LEVEL]
+            if regs[R_STAGED] == node and offset + 8 <= len(regs[S_NODE]):
+                # Serve the pointer from the staged cacheline: ALU-only step.
+                regs[S_PTR] = regs[S_NODE][offset : offset + 8]
+                ctx.state = 3
+                return (K_ALU, 1)
+            ctx.state = 3
+            return (K_MEMREAD, node + offset, 8, S_PTR)
 
-    def dispatch(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if ctx.state == "CHECK_PTR":
-            nxt = ctx.scratch_u64("ptr")
-            if not nxt:
-                if v["level"] == 0:
-                    return StepOutcome(STATE_DONE, Done(None))
-                v["level"] -= 1
-                return self._read_ptr(ctx)
-            v["next"] = nxt
-            return StepOutcome(
-                "FETCH_NEXT",
-                MemRead(nxt, self.NODE_FETCH, "next", optional_after=_LIST_NODE),
-            )
-        if ctx.state == "FETCH_NEXT":
-            key_ptr = ctx.scratch_u64("next", 0)
-            if not key_ptr:
-                return StepOutcome(
-                    STATE_EXCEPTION,
-                    Fault(code=int(AbortCode.NULL_POINTER), detail="null key pointer"),
-                )
-            return StepOutcome(
-                "CHECK_CMP",
-                Compare(key_ptr, ctx.key_addr, ctx.header.key_length, "cmp"),
-            )
-        if ctx.state == "CHECK_CMP":
-            cmp_result = ctx.results["cmp"]
+        def after_parse(ctx):
+            regs = ctx.scratch
+            header = ctx.header
+            regs[R_KLEN] = header.key_length
+            root = header.root_ptr
+            regs[R_NODE] = root
+            regs[R_LEVEL] = header.aux - 1  # aux = max_level
+            regs[R_STAGED] = 0  # node address currently staged in S_NODE
+            if not root:
+                return (K_DONE, None)
+            return read_ptr(ctx)
+
+        def dispatch(ctx):
+            regs = ctx.scratch
+            state = ctx.state
+            if state == 3:  # CHECK_PTR
+                nxt = up(regs[S_PTR], 0)[0]
+                if not nxt:
+                    if regs[R_LEVEL] == 0:
+                        return (K_DONE, None)
+                    regs[R_LEVEL] -= 1
+                    return read_ptr(ctx)
+                regs[R_NEXT] = nxt
+                ctx.state = 4
+                return (K_MEMREAD_OPT, nxt, node_fetch, S_NEXT, 24)
+            if state == 4:  # FETCH_NEXT
+                key_ptr = up(regs[S_NEXT], 0)[0]
+                if not key_ptr:
+                    return (K_FAULT, NULL_PTR, "null key pointer")
+                ctx.state = 5
+                return (K_COMPARE, key_ptr, regs[R_KLEN], S_CMP)
+            # CHECK_CMP
+            cmp_result = regs[S_CMP]
             if cmp_result < 0:  # next.key < key: advance along this level
-                v["node"] = v["next"]
-                v["staged"] = v["next"]
-                ctx.scratch["node"] = ctx.scratch["next"]
-                return self._read_ptr(ctx)
-            if v["level"] > 0:
-                v["level"] -= 1
-                return self._read_ptr(ctx)
+                nxt = regs[R_NEXT]
+                regs[R_NODE] = nxt
+                regs[R_STAGED] = nxt
+                regs[S_NODE] = regs[S_NEXT]
+                return read_ptr(ctx)
+            if regs[R_LEVEL] > 0:
+                regs[R_LEVEL] -= 1
+                return read_ptr(ctx)
             if cmp_result == 0:
-                return StepOutcome(STATE_DONE, Done(ctx.scratch_u64("next", 8)))
-            return StepOutcome(STATE_DONE, Done(None))
-        raise AssertionError(f"unreachable state {ctx.state}")
+                return (K_DONE, up(regs[S_NEXT], 8)[0])
+            return (K_DONE, None)
+
+        return self._prelude(11, dispatch, after_parse)
 
 
 class BinaryTreeCfa(_StandardProgram):
@@ -382,37 +483,41 @@ class BinaryTreeCfa(_StandardProgram):
     STATES = _StandardProgram.PRELUDE_STATES + ("FETCH_NODE", "COMPARE", "CHECK")
     SUBTYPE_MAX = 0
 
-    def after_parse(self, ctx: QueryContext) -> StepOutcome:
-        root = ctx.header.root_ptr
-        if not root:
-            return StepOutcome(STATE_DONE, Done(None))
-        ctx.vars["node"] = root
-        return StepOutcome("COMPARE", MemRead(root, _TREE_NODE, "node"))
+    def _compile(self) -> CompiledStep:
+        up = _U64
+        S_NODE, S_CMP, R_KLEN = 2, 3, 4
+        NULL_PTR = int(AbortCode.NULL_POINTER)
 
-    def dispatch(self, ctx: QueryContext) -> StepOutcome:
-        if ctx.state == "COMPARE":
-            key_ptr = ctx.scratch_u64("node", 0)
+        def after_parse(ctx):
+            regs = ctx.scratch
+            regs[R_KLEN] = ctx.header.key_length
+            root = ctx.header.root_ptr
+            if not root:
+                return (K_DONE, None)
+            ctx.state = 3
+            return (K_MEMREAD, root, 32, S_NODE)
+
+        def dispatch(ctx):
+            regs = ctx.scratch
+            node = regs[S_NODE]
+            if ctx.state == 4:  # CHECK
+                cmp_result = regs[S_CMP]
+                if cmp_result == 0:
+                    return (K_DONE, up(node, 8)[0])
+                # Compare() is (stored <=> key): stored < key means go right.
+                child = up(node, 16 if cmp_result > 0 else 24)[0]
+                if not child:
+                    return (K_DONE, None)
+                ctx.state = 3
+                return (K_MEMREAD, child, 32, S_NODE)
+            # COMPARE
+            key_ptr = up(node, 0)[0]
             if not key_ptr:
-                return StepOutcome(
-                    STATE_EXCEPTION,
-                    Fault(code=int(AbortCode.NULL_POINTER), detail="null key pointer"),
-                )
-            return StepOutcome(
-                "CHECK",
-                Compare(key_ptr, ctx.key_addr, ctx.header.key_length, "cmp"),
-            )
-        if ctx.state == "CHECK":
-            cmp_result = ctx.results["cmp"]
-            if cmp_result == 0:
-                return StepOutcome(STATE_DONE, Done(ctx.scratch_u64("node", 8)))
-            # Compare() is (stored <=> key): stored < key means go right.
-            child_offset = 16 if cmp_result > 0 else 24
-            child = ctx.scratch_u64("node", child_offset)
-            if not child:
-                return StepOutcome(STATE_DONE, Done(None))
-            ctx.vars["node"] = child
-            return StepOutcome("COMPARE", MemRead(child, _TREE_NODE, "node"))
-        raise AssertionError(f"unreachable state {ctx.state}")
+                return (K_FAULT, NULL_PTR, "null key pointer")
+            ctx.state = 4
+            return (K_COMPARE, key_ptr, regs[R_KLEN], S_CMP)
+
+        return self._prelude(5, dispatch, after_parse)
 
 
 class TrieCfa(_StandardProgram):
@@ -438,141 +543,159 @@ class TrieCfa(_StandardProgram):
     #: subtypes 0 (exact), 1 (Aho-Corasick scan), 2 (longest-prefix match).
     SUBTYPE_MAX = 2
 
-    #: Edges fetched per memory micro-op (cacheline / edge size).
-    EDGES_PER_LINE = 64 // _EDGE
-
-    def _key_fetch_length(self, ctx: QueryContext) -> int:
-        # Long inputs (AC text) stream in by the cacheline.
-        return min(ctx.header.key_length, 64) if ctx.header else 64
-
-    def after_parse(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        v["node"] = ctx.header.root_ptr
-        v["root"] = ctx.header.root_ptr
-        v["pos"] = 0
-        v["matches"] = 0
-        v["key_chunk"] = 0
-        v["ac"] = ctx.header.subtype == 1
-        v["lpm"] = ctx.header.subtype == 2
-        v["best"] = 0
-        if not ctx.header.root_ptr:
-            return StepOutcome(STATE_DONE, Done(None))
-        return StepOutcome("FETCH_NODE", MemRead(v["node"], _TRIE_NODE, "node"))
-
-    # ---------------- helpers ---------------- #
-
-    def _current_byte(self, ctx: QueryContext) -> Optional[int]:
-        pos = ctx.vars["pos"]
-        if pos >= ctx.header.key_length:
-            return None
-        chunk, offset = divmod(pos, 64)
-        if chunk != ctx.vars["key_chunk"]:
-            return None  # chunk must be streamed in first
-        return ctx.key[offset]
-
-    def _stream_key_chunk(self, ctx: QueryContext, next_state: str) -> StepOutcome:
-        chunk = ctx.vars["pos"] // 64
-        ctx.vars["key_chunk"] = chunk
-        length = min(64, ctx.header.key_length - chunk * 64)
-        return StepOutcome(next_state, MemRead(ctx.key_addr + chunk * 64, length, "key"))
-
-    def _finish(self, ctx: QueryContext) -> StepOutcome:
-        if ctx.vars["ac"]:
-            return StepOutcome(STATE_DONE, Done(ctx.vars["matches"]))
-        output = ctx.scratch_u64("node", 8)
-        if ctx.vars["lpm"]:
-            best = output or ctx.vars["best"]
-            return StepOutcome(STATE_DONE, Done(best - 1 if best else None))
-        return StepOutcome(STATE_DONE, Done(output - 1 if output else None))
-
-    def dispatch(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if ctx.state == "FETCH_NODE":
-            # Node staged; in AC mode count an output hit, then continue.
-            if v["ac"] and v.pop("count_output", False):
-                output = ctx.scratch_u64("node", 8)
-                if output:
-                    v["matches"] += 1
-            if v["lpm"]:
-                output = ctx.scratch_u64("node", 8)
-                if output:
-                    v["best"] = output  # deepest prefix seen so far
-            if v["pos"] >= ctx.header.key_length:
-                return self._finish(ctx)
-            if v["pos"] // 64 != v["key_chunk"]:
-                return self._stream_key_chunk(ctx, "FETCH_NODE")
-            ctx.key = ctx.scratch["key"]
-            v["edge_line"] = 0
-            return self._read_edge_line(ctx)
-        if ctx.state == "SEARCH_TABLE":
-            return self._search_table(ctx)
-        if ctx.state == "FOLLOW_FAIL":
-            # Fail-node staged into "node"; retry the edge search there.
-            v["node"] = v["fail_target"]
-            v["edge_line"] = 0
-            return self._read_edge_line(ctx)
-        if ctx.state == "ADVANCE":
-            # Child node staged into "node".
-            v["node"] = v["child"]
-            v["pos"] += 1
-            if v["ac"]:
-                v["count_output"] = True
-            return self.dispatch_fetch_node(ctx)
-        raise AssertionError(f"unreachable state {ctx.state}")
-
-    def dispatch_fetch_node(self, ctx: QueryContext) -> StepOutcome:
-        ctx.state = "FETCH_NODE"
-        return self.dispatch_already_fetched(ctx)
-
-    def dispatch_already_fetched(self, ctx: QueryContext) -> StepOutcome:
-        # The ADVANCE MemRead already staged the node; process it now.
-        return self.dispatch(ctx)
-
-    def _read_edge_line(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        count = ctx.scratch_u64("node", 16)
-        edges_ptr = ctx.scratch_u64("node", 24)
-        start = v["edge_line"] * self.EDGES_PER_LINE
-        if start >= count or not edges_ptr:
-            return self._edge_miss(ctx)
-        length = min(self.EDGES_PER_LINE, count - start) * _EDGE
-        return StepOutcome(
-            "SEARCH_TABLE", MemRead(edges_ptr + start * _EDGE, length, "edges")
+    def _compile(self) -> CompiledStep:
+        up = _U64
+        S_NODE, S_EDGES = 2, 3
+        R_KLEN, R_NODE, R_ROOT, R_POS, R_MATCH, R_CHUNK = 4, 5, 6, 7, 8, 9
+        R_AC, R_LPM, R_BEST, R_EDGELINE, R_CHILD, R_FAIL, R_CO = (
+            10, 11, 12, 13, 14, 15, 16,
         )
 
-    def _search_table(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        byte = self._current_byte(ctx)
-        edges = ctx.scratch["edges"]
-        for i in range(len(edges) // _EDGE):
-            stored = _u64(edges, i * _EDGE)
-            if stored == byte:
-                child = _u64(edges, i * _EDGE + 8)
-                v["child"] = child
-                return StepOutcome("ADVANCE", MemRead(child, _TRIE_NODE, "node"))
-            if stored > byte:
-                return self._edge_miss(ctx)
-        v["edge_line"] += 1
-        return self._read_edge_line(ctx)
+        def stream_chunk(ctx):
+            # Long inputs (AC text) stream in by the cacheline.
+            regs = ctx.scratch
+            chunk = regs[R_POS] // 64
+            regs[R_CHUNK] = chunk
+            base = chunk * 64
+            remaining = regs[R_KLEN] - base
+            ctx.state = 3
+            return (
+                K_MEMREAD,
+                ctx.key_addr + base,
+                64 if remaining > 64 else remaining,
+                _S_KEY,
+            )
 
-    def _edge_miss(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if v["lpm"]:
-            best = v["best"]
-            return StepOutcome(STATE_DONE, Done(best - 1 if best else None))
-        if not v["ac"]:
-            return StepOutcome(STATE_DONE, Done(None))
-        if v["node"] == v["root"]:
-            v["pos"] += 1
-            if v["pos"] >= ctx.header.key_length:
-                return self._finish(ctx)
-            v["edge_line"] = 0
-            if v["pos"] // 64 != v["key_chunk"]:
-                return self._stream_key_chunk(ctx, "FETCH_NODE")
-            return self._read_edge_line(ctx)
-        fail = ctx.scratch_u64("node", 0)
-        v["fail_target"] = fail
-        return StepOutcome("FOLLOW_FAIL", MemRead(fail, _TRIE_NODE, "node"))
+        def finish(ctx):
+            regs = ctx.scratch
+            if regs[R_AC]:
+                return (K_DONE, regs[R_MATCH])
+            output = up(regs[S_NODE], 8)[0]
+            if regs[R_LPM]:
+                best = output or regs[R_BEST]
+                return (K_DONE, best - 1 if best else None)
+            return (K_DONE, output - 1 if output else None)
+
+        def read_edge_line(ctx):
+            # Edges are fetched a cacheline (four 16-byte edges) at a time.
+            regs = ctx.scratch
+            node = regs[S_NODE]
+            count = up(node, 16)[0]
+            edges_ptr = up(node, 24)[0]
+            start = regs[R_EDGELINE] * 4
+            if start >= count or not edges_ptr:
+                return edge_miss(ctx)
+            n = count - start
+            ctx.state = 4
+            return (
+                K_MEMREAD, edges_ptr + start * 16, (4 if n > 4 else n) * 16, S_EDGES
+            )
+
+        def search_table(ctx):
+            regs = ctx.scratch
+            pos = regs[R_POS]
+            if pos >= regs[R_KLEN]:
+                byte = None
+            else:
+                chunk, offset = divmod(pos, 64)
+                byte = None if chunk != regs[R_CHUNK] else ctx.key[offset]
+            edges = regs[S_EDGES]
+            for i in range(len(edges) // 16):
+                base = i * 16
+                stored = up(edges, base)[0]
+                if stored == byte:
+                    child = up(edges, base + 8)[0]
+                    regs[R_CHILD] = child
+                    ctx.state = 6
+                    return (K_MEMREAD, child, 32, S_NODE)
+                if stored > byte:
+                    return edge_miss(ctx)
+            regs[R_EDGELINE] += 1
+            return read_edge_line(ctx)
+
+        def edge_miss(ctx):
+            regs = ctx.scratch
+            if regs[R_LPM]:
+                best = regs[R_BEST]
+                return (K_DONE, best - 1 if best else None)
+            if not regs[R_AC]:
+                return (K_DONE, None)
+            if regs[R_NODE] == regs[R_ROOT]:
+                regs[R_POS] += 1
+                if regs[R_POS] >= regs[R_KLEN]:
+                    return finish(ctx)
+                regs[R_EDGELINE] = 0
+                if regs[R_POS] // 64 != regs[R_CHUNK]:
+                    return stream_chunk(ctx)
+                return read_edge_line(ctx)
+            fail = up(regs[S_NODE], 0)[0]
+            regs[R_FAIL] = fail
+            ctx.state = 5
+            return (K_MEMREAD, fail, 32, S_NODE)
+
+        def fetch_node(ctx):
+            regs = ctx.scratch
+            node = regs[S_NODE]
+            if regs[R_AC] and regs[R_CO]:
+                # Node staged; in AC mode count an output hit, then continue.
+                regs[R_CO] = 0
+                if up(node, 8)[0]:
+                    regs[R_MATCH] += 1
+            if regs[R_LPM]:
+                output = up(node, 8)[0]
+                if output:
+                    regs[R_BEST] = output  # deepest prefix seen so far
+            if regs[R_POS] >= regs[R_KLEN]:
+                return finish(ctx)
+            if regs[R_POS] // 64 != regs[R_CHUNK]:
+                return stream_chunk(ctx)
+            ctx.key = regs[_S_KEY]
+            regs[R_EDGELINE] = 0
+            return read_edge_line(ctx)
+
+        def after_parse(ctx):
+            regs = ctx.scratch
+            header = ctx.header
+            regs[R_KLEN] = header.key_length
+            root = header.root_ptr
+            regs[R_NODE] = root
+            regs[R_ROOT] = root
+            regs[R_POS] = 0
+            regs[R_MATCH] = 0
+            regs[R_CHUNK] = 0
+            regs[R_AC] = 1 if header.subtype == 1 else 0
+            regs[R_LPM] = 1 if header.subtype == 2 else 0
+            regs[R_BEST] = 0
+            regs[R_CO] = 0
+            if not root:
+                return (K_DONE, None)
+            ctx.state = 3
+            return (K_MEMREAD, root, 32, S_NODE)
+
+        def dispatch(ctx):
+            regs = ctx.scratch
+            state = ctx.state
+            if state == 3:  # FETCH_NODE
+                return fetch_node(ctx)
+            if state == 4:  # SEARCH_TABLE
+                return search_table(ctx)
+            if state == 6:  # ADVANCE (child node already staged)
+                regs[R_NODE] = regs[R_CHILD]
+                regs[R_POS] += 1
+                if regs[R_AC]:
+                    regs[R_CO] = 1
+                return fetch_node(ctx)
+            # FOLLOW_FAIL: fail node staged; retry the edge search there.
+            regs[R_NODE] = regs[R_FAIL]
+            regs[R_EDGELINE] = 0
+            return read_edge_line(ctx)
+
+        return self._prelude(
+            17,
+            dispatch,
+            after_parse,
+            key_fetch=lambda header: min(header.key_length, 64),
+        )
 
 
 class HashOfListsCfa(_StandardProgram):
@@ -593,41 +716,47 @@ class HashOfListsCfa(_StandardProgram):
     SUBTYPE_MAX = 0
     REQUIRES_SIZE = True
 
-    def after_parse(self, ctx: QueryContext) -> StepOutcome:
-        return StepOutcome("HASH", HashOp("key", "hash"))
+    def _compile(self) -> CompiledStep:
+        up = _U64
+        S_HASH, S_SLOT, S_NODE, S_CMP, R_KLEN = 2, 3, 4, 5, 6
+        NULL_PTR = int(AbortCode.NULL_POINTER)
 
-    def dispatch(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if ctx.state == "HASH":
-            bucket = ctx.results["hash"] % ctx.header.size
-            slot_addr = ctx.header.root_ptr + bucket * 8
-            return StepOutcome("READ_SLOT", MemRead(slot_addr, 8, "slot"))
-        if ctx.state == "READ_SLOT":
-            node = ctx.scratch_u64("slot")
-            if not node:
-                return StepOutcome(STATE_DONE, Done(None))
-            v["node"] = node
-            return StepOutcome("COMPARE", MemRead(node, _LIST_NODE, "node"))
-        if ctx.state == "COMPARE":
-            key_ptr = ctx.scratch_u64("node", 0)
-            if not key_ptr:
-                return StepOutcome(
-                    STATE_EXCEPTION,
-                    Fault(code=int(AbortCode.NULL_POINTER), detail="null key pointer"),
-                )
-            return StepOutcome(
-                "CHECK",
-                Compare(key_ptr, ctx.key_addr, ctx.header.key_length, "cmp"),
-            )
-        if ctx.state == "CHECK":
-            if ctx.results["cmp"] == 0:
-                return StepOutcome(STATE_DONE, Done(ctx.scratch_u64("node", 8)))
-            nxt = ctx.scratch_u64("node", 16)
-            if not nxt:
-                return StepOutcome(STATE_DONE, Done(None))
-            v["node"] = nxt
-            return StepOutcome("COMPARE", MemRead(nxt, _LIST_NODE, "node"))
-        raise AssertionError(f"unreachable state {ctx.state}")
+        def after_parse(ctx):
+            ctx.scratch[R_KLEN] = ctx.header.key_length
+            ctx.state = 3
+            return (K_HASH, _S_KEY, S_HASH)
+
+        def dispatch(ctx):
+            regs = ctx.scratch
+            state = ctx.state
+            if state == 6:  # CHECK
+                node = regs[S_NODE]
+                if regs[S_CMP] == 0:
+                    return (K_DONE, up(node, 8)[0])
+                nxt = up(node, 16)[0]
+                if not nxt:
+                    return (K_DONE, None)
+                ctx.state = 5
+                return (K_MEMREAD, nxt, 24, S_NODE)
+            if state == 5:  # COMPARE
+                key_ptr = up(regs[S_NODE], 0)[0]
+                if not key_ptr:
+                    return (K_FAULT, NULL_PTR, "null key pointer")
+                ctx.state = 6
+                return (K_COMPARE, key_ptr, regs[R_KLEN], S_CMP)
+            if state == 4:  # READ_SLOT
+                node = up(regs[S_SLOT], 0)[0]
+                if not node:
+                    return (K_DONE, None)
+                ctx.state = 5
+                return (K_MEMREAD, node, 24, S_NODE)
+            # HASH
+            header = ctx.header
+            bucket = regs[S_HASH] % header.size
+            ctx.state = 4
+            return (K_MEMREAD, header.root_ptr + bucket * 8, 8, S_SLOT)
+
+        return self._prelude(7, dispatch, after_parse)
 
 
 def default_firmware(*, max_states: int = 256) -> FirmwareImage:

@@ -5,30 +5,18 @@ structures the accelerator did not ship with.  Register them at runtime::
 
     system.firmware.register(BPlusTreeCfa())
 
-Registration triggers recompilation in :mod:`repro.core.specialize`:
-programs whose exact class the specializer knows get a flat compiled
-closure; anything else (including subclasses of the built-ins) runs
-through the prebound tier, which wraps ``step`` without reinterpreting
-it.  Either way the CEE's batched drain executes the result, so loaded
-firmware pays no interpreter penalty relative to the factory image.
+Like the built-ins in :mod:`repro.core.programs`, each program is written
+once, as a compiled closure; registration hands that closure to the
+accelerator's load-time pass (:mod:`repro.core.specialize`), and the
+generic interpreter runs the ``step`` derived from it.  Loaded firmware
+therefore pays no interpreter penalty relative to the factory image.
 """
 
 from __future__ import annotations
 
-from .cfa import (
-    AluOp,
-    Compare,
-    Done,
-    MemRead,
-    QueryContext,
-    StepOutcome,
-    STATE_DONE,
-)
 from .header import StructureType
-from .programs import _StandardProgram, _u64
-
-_BTREE_HEADER = 40
-_LEAF_FLAG = 0x1
+from .programs import _U64, _StandardProgram
+from .specialize import CompiledStep, K_COMPARE, K_DONE, K_MEMREAD
 
 
 class BPlusTreeCfa(_StandardProgram):
@@ -55,70 +43,73 @@ class BPlusTreeCfa(_StandardProgram):
         "READ_VALUE",
     )
 
-    def after_parse(self, ctx: QueryContext) -> StepOutcome:
-        root = ctx.header.root_ptr
-        if not root:
-            return StepOutcome(STATE_DONE, Done(None))
-        ctx.vars["node"] = root
-        return StepOutcome("FETCH_NODE", MemRead(root, _BTREE_HEADER, "node"))
+    def _compile(self) -> CompiledStep:
+        up = _U64
+        S_NODE, S_CMP, S_CHILD, S_VALUE = 2, 3, 4, 5
+        R_KLEN, R_COUNT, R_KEYS, R_SLOTS, R_INDEX = 6, 7, 8, 9, 10
 
-    def dispatch(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if ctx.state == "FETCH_NODE":
-            v["flags"] = ctx.scratch_u64("node", 0)
-            v["count"] = ctx.scratch_u64("node", 8)
-            v["keys_ptr"] = ctx.scratch_u64("node", 24)
-            v["slots_ptr"] = ctx.scratch_u64("node", 32)
-            v["index"] = 0
-            if v["flags"] & _LEAF_FLAG:
-                return self._leaf_step(ctx)
-            return self._separator_step(ctx)
+        def separator_step(ctx):
+            regs = ctx.scratch
+            index = regs[R_INDEX]
+            if index >= regs[R_COUNT]:
+                return read_child(ctx, regs[R_COUNT])  # rightmost child
+            ctx.state = 4
+            return (
+                K_COMPARE, regs[R_KEYS] + index * regs[R_KLEN], regs[R_KLEN], S_CMP
+            )
 
-        if ctx.state == "SEPARATOR_CHECK":
-            if ctx.results["cmp"] > 0:  # separator > key: take this child
-                return self._read_child(ctx, v["index"])
-            v["index"] += 1
-            return self._separator_step(ctx)
+        def leaf_step(ctx):
+            regs = ctx.scratch
+            index = regs[R_INDEX]
+            if index >= regs[R_COUNT]:
+                return (K_DONE, None)
+            ctx.state = 5
+            return (
+                K_COMPARE, regs[R_KEYS] + index * regs[R_KLEN], regs[R_KLEN], S_CMP
+            )
 
-        if ctx.state == "LEAF_CHECK":
-            if ctx.results["cmp"] == 0:
-                slot = v["slots_ptr"] + 8 * v["index"]
-                return StepOutcome("READ_VALUE", MemRead(slot, 8, "value"))
-            v["index"] += 1
-            return self._leaf_step(ctx)
+        def read_child(ctx, index):
+            ctx.state = 6
+            return (K_MEMREAD, ctx.scratch[R_SLOTS] + 8 * index, 8, S_CHILD)
 
-        if ctx.state == "READ_CHILD":
-            child = ctx.scratch_u64("child")
-            v["node"] = child
-            return StepOutcome("FETCH_NODE", MemRead(child, _BTREE_HEADER, "node"))
+        def after_parse(ctx):
+            regs = ctx.scratch
+            regs[R_KLEN] = ctx.header.key_length
+            root = ctx.header.root_ptr
+            if not root:
+                return (K_DONE, None)
+            ctx.state = 3
+            return (K_MEMREAD, root, 40, S_NODE)
 
-        if ctx.state == "READ_VALUE":
-            return StepOutcome(STATE_DONE, Done(ctx.scratch_u64("value")))
+        def dispatch(ctx):
+            regs = ctx.scratch
+            state = ctx.state
+            if state == 3:  # FETCH_NODE: 40-byte node header staged
+                node = regs[S_NODE]
+                flags = up(node, 0)[0]
+                regs[R_COUNT] = up(node, 8)[0]
+                regs[R_KEYS] = up(node, 24)[0]
+                regs[R_SLOTS] = up(node, 32)[0]
+                regs[R_INDEX] = 0
+                if flags & 0x1:  # leaf
+                    return leaf_step(ctx)
+                return separator_step(ctx)
+            if state == 4:  # SEPARATOR_CHECK
+                if regs[S_CMP] > 0:  # separator > key: take this child
+                    return read_child(ctx, regs[R_INDEX])
+                regs[R_INDEX] += 1
+                return separator_step(ctx)
+            if state == 5:  # LEAF_CHECK
+                if regs[S_CMP] == 0:
+                    ctx.state = 7
+                    return (K_MEMREAD, regs[R_SLOTS] + 8 * regs[R_INDEX], 8, S_VALUE)
+                regs[R_INDEX] += 1
+                return leaf_step(ctx)
+            if state == 6:  # READ_CHILD
+                child = up(regs[S_CHILD], 0)[0]
+                ctx.state = 3
+                return (K_MEMREAD, child, 40, S_NODE)
+            # READ_VALUE
+            return (K_DONE, up(regs[S_VALUE], 0)[0])
 
-        raise AssertionError(f"unreachable state {ctx.state}")
-
-    # ---------------- helpers ---------------- #
-
-    def _separator_step(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if v["index"] >= v["count"]:
-            return self._read_child(ctx, v["count"])  # rightmost child
-        sep_addr = v["keys_ptr"] + v["index"] * ctx.header.key_length
-        return StepOutcome(
-            "SEPARATOR_CHECK",
-            Compare(sep_addr, ctx.key_addr, ctx.header.key_length, "cmp"),
-        )
-
-    def _leaf_step(self, ctx: QueryContext) -> StepOutcome:
-        v = ctx.vars
-        if v["index"] >= v["count"]:
-            return StepOutcome(STATE_DONE, Done(None))
-        key_addr = v["keys_ptr"] + v["index"] * ctx.header.key_length
-        return StepOutcome(
-            "LEAF_CHECK",
-            Compare(key_addr, ctx.key_addr, ctx.header.key_length, "cmp"),
-        )
-
-    def _read_child(self, ctx: QueryContext, index: int) -> StepOutcome:
-        slot = ctx.vars["slots_ptr"] + 8 * index
-        return StepOutcome("READ_CHILD", MemRead(slot, 8, "child"))
+        return self._prelude(11, dispatch, after_parse)

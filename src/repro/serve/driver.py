@@ -13,21 +13,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence
 
-from ..config import IntegrationScheme, ServeConfig, small_config
+from ..config import SCHEME_ORDER, IntegrationScheme, ServeConfig, small_config
 from ..system import System
 from ..workloads import make_workload
 from .loadgen import ClosedLoopGenerator, OpenLoopGenerator
 from .server import MODE_BATCHED, QueryServer
 from .slo import ServingReport
-
-#: Scheme order used in the paper's figures (mirrors analysis.experiments).
-SCHEME_ORDER = [
-    IntegrationScheme.CHA_TLB.value,
-    IntegrationScheme.CHA_NOTLB.value,
-    IntegrationScheme.DEVICE_DIRECT.value,
-    IntegrationScheme.DEVICE_INDIRECT.value,
-    IntegrationScheme.CORE_INTEGRATED.value,
-]
 
 #: Serving-tier workload sizes: big enough to span pages and spread across
 #: LLC slices, small enough that a multi-scheme sweep finishes in seconds.

@@ -88,19 +88,17 @@ def test_fusion_matches_unfused_reference(pair, monkeypatch):
 # --------------------------------------------------------------------- #
 
 
-def test_snapshot_restore_is_bit_identical_to_cold_build(monkeypatch):
-    # Cold reference: snapshots disabled, two independent builds.
-    monkeypatch.setattr(snapshot, "_enabled", False)
+def test_snapshot_restore_is_bit_identical_to_cold_build():
+    # Cold reference: with no template held, the build populates from
+    # scratch (and captures the template before anything runs on it).
+    snapshot.clear()
     cold_sys, cold_wl = _build("dpdk", "cha-tlb", quick=True)
+    params = workload_params("dpdk", True)
+    assert snapshot.get("dpdk", params) is not None
     cold = run_qei(cold_sys, cold_wl)
     cold_hash = _stats_hash(cold_sys)
 
-    # Snapshot path: first build captures, later builds restore.
-    monkeypatch.setattr(snapshot, "_enabled", True)
-    snapshot.clear()
-    _build("dpdk", "cha-tlb", quick=True)  # capture template
-    params = workload_params("dpdk", True)
-    assert snapshot.get("dpdk", params) is not None
+    # Snapshot path: later builds restore the captured template.
 
     for scheme in ("cha-tlb", "cha-notlb"):
         warm_sys, warm_wl = _build("dpdk", scheme, quick=True)
@@ -114,8 +112,7 @@ def test_snapshot_restore_is_bit_identical_to_cold_build(monkeypatch):
     snapshot.clear()
 
 
-def test_snapshot_template_isolated_from_restored_runs(monkeypatch):
-    monkeypatch.setattr(snapshot, "_enabled", True)
+def test_snapshot_template_isolated_from_restored_runs():
     snapshot.clear()
     _build("rocksdb", "cha-tlb", quick=True)
 
@@ -132,10 +129,9 @@ def test_snapshot_template_isolated_from_restored_runs(monkeypatch):
     snapshot.clear()
 
 
-def test_custom_config_bypasses_snapshots(monkeypatch):
+def test_custom_config_bypasses_snapshots():
     from repro.config import SystemConfig
 
-    monkeypatch.setattr(snapshot, "_enabled", True)
     snapshot.clear()
     _build("dpdk", "cha-tlb", quick=True, config=SystemConfig())
     assert snapshot.get("dpdk", workload_params("dpdk", True)) is None

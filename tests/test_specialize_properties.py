@@ -1,12 +1,15 @@
 """Property tests: compiled step closures agree with the interpreter.
 
-For every registered program, the compiled step function (specialized tier
-for the built-in lookups, prebound tier for mutation CFAs) must reproduce
-the generic ``program.step`` *exactly*: the same normalized micro-op trace
+For every registered program, the compiled step function (the closure each
+built-in lookup is defined by, prebound tier for mutation CFAs) must
+reproduce the generic ``program.step`` *exactly*: the same normalized
+micro-op trace
 (read addresses and usable lengths, compare operands and outcomes, hash
 inputs, ALU/delay cycles, write segments, CAS operands), the same terminal
 (Done value / Fault code + detail), and the same raised exceptions, on
-randomized structures and probe keys.
+randomized structures and probe keys.  For the lookups, whose ``step`` is
+derived from the closure, this pins the adapter between the two forms;
+the software ``structure.lookup`` stays the functional oracle.
 
 The two walkers run outside the accelerator: micro-ops are applied
 *functionally* (reads/writes/compares really happen against the simulated
@@ -25,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import small_config
+from repro.core.abort import AbortCode
 from repro.core.cfa import (
     OP_DELETE,
     OP_INSERT,
@@ -61,7 +65,6 @@ from repro.core.specialize import (
     K_MEMREAD_OPT,
     K_WAIT,
     compile_firmware,
-    specialize_program,
 )
 from repro.datastructs import (
     AhoCorasickTrie,
@@ -252,7 +255,7 @@ def assert_agree(program, compiled, header_addr, key_addr, space, op=0, operand=
 
 
 # --------------------------------------------------------------------- #
-# Lookup programs (specialized tier), read-only: one shared memory image
+# Lookup programs (closure tier), read-only: one shared memory image
 # --------------------------------------------------------------------- #
 
 
@@ -326,8 +329,8 @@ def test_lookup_specialization_agrees(kind, data):
 
     mem = ProcessMemory()
     structure, program = LOOKUP_BUILDERS[kind](mem, items)
-    compiled = specialize_program(program)
-    assert not compiled.prebound, f"{kind} should hit the specialized tier"
+    compiled = program.compiled()
+    assert not compiled.prebound, f"{kind} should compile to its closure"
 
     key_addr = structure.store_key(probe)
     trace = assert_agree(
@@ -360,7 +363,7 @@ def test_lookup_specialization_agrees_mid_resize(data):
     table.migrate_chunk(migrated)
 
     program = HashTableCfa()
-    compiled = specialize_program(program)
+    compiled = program.compiled()
     key_addr = table.store_key(probe)
     trace = assert_agree(program, compiled, table.header_addr, key_addr, mem.space)
     assert trace[-1] == ("done", table.lookup(probe))
@@ -437,7 +440,7 @@ def test_trie_specialization_agrees(subtype, data):
     trie.seal()
 
     program = TrieCfa()
-    compiled = specialize_program(program)
+    compiled = program.compiled()
     key_addr = trie.store_key(probe)
     assert_agree(program, compiled, trie.header_addr, key_addr, mem.space)
 
@@ -575,18 +578,46 @@ def test_every_builtin_lookup_is_specialized():
         HashOfListsCfa(),
         BPlusTreeCfa(),
     ):
-        compiled = specialize_program(program)
+        compiled = program.compiled()
         assert not compiled.prebound
         assert compiled.nregs >= 2
         assert compiled.name == program.NAME
+        assert program.compiled() is compiled, "compiled once per instance"
 
 
-def test_subclassed_program_falls_back_to_prebound():
-    class Tweaked(LinkedListCfa):
-        """Overrides step; must NOT be matched to the parent's closure."""
+def test_subclassed_program_reuses_parent_closure():
+    class Strict(LinkedListCfa):
+        """Adds a header rule; the walk itself is the parent's closure."""
 
-    compiled = specialize_program(Tweaked())
-    assert compiled.prebound
+        def validate_header(self, header, raw=b""):
+            code = super().validate_header(header, raw=raw)
+            if code is AbortCode.NONE and header.key_length != 2 * KEY_LENGTH:
+                return AbortCode.BAD_KEY_LENGTH
+            return code
+
+    mem = ProcessMemory()
+    structure, _ = _build_linked_list(mem, [(_key(1), 1001), (_key(2), 1002)])
+    key_addr = structure.store_key(_key(2))
+    program = Strict()
+    compiled = program.compiled()
+    assert not compiled.prebound
+    assert compiled.nregs == LinkedListCfa().compiled().nregs
+    system = System(small_config())
+    system.firmware.register(program, replace=True)
+    assert compile_firmware(system.firmware)[0][program.TYPE_CODE] is compiled
+
+    # Both forms honour the override: the header is rejected at PARSE.
+    trace = assert_agree(
+        program, compiled, structure.header_addr, key_addr, mem.space
+    )
+    rejected = int(AbortCode.BAD_KEY_LENGTH)
+    assert trace[-1] == ("fault", rejected, "header rejected: BAD_KEY_LENGTH")
+    # The parent, unchanged, still finds the key.
+    parent = LinkedListCfa()
+    trace = assert_agree(
+        parent, parent.compiled(), structure.header_addr, key_addr, mem.space
+    )
+    assert trace[-1] == ("done", 1002)
 
 
 def test_compile_firmware_covers_registered_tables():
