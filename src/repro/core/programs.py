@@ -27,6 +27,7 @@ import struct
 from typing import Callable, Optional
 
 from ..datastructs.hashing import secondary_hash, signature_of
+from ..errors import FirmwareError
 from .abort import AbortCode
 from .cfa import (
     AluOp,
@@ -70,13 +71,30 @@ class _StandardProgram(CfaProgram):
     type-specific ``dispatch`` and ``after_parse`` closures with
     :meth:`_prelude`.  Subclasses inherit the parent's closure and may
     override :meth:`validate_header`, which the prelude calls at PARSE.
+    A subclass that overrides :meth:`step` runs that step in both drivers
+    (the accelerator's prebound tier), not the inherited closure.
     """
 
     PRELUDE_STATES = (STATE_START, "PARSE", "READ_KEY", STATE_DONE, STATE_EXCEPTION)
 
     _compiled_step: Optional[CompiledStep] = None
 
-    def compiled(self) -> CompiledStep:
+    def compiled(self) -> Optional[CompiledStep]:
+        if type(self).step is not _StandardProgram.step:
+            return None
+        return self._closure()
+
+    def validate(self, max_states: int) -> None:
+        super().validate(max_states)
+        cls = type(self)
+        no_closure = cls._compile is _StandardProgram._compile
+        if no_closure and cls.step is _StandardProgram.step:
+            raise FirmwareError(
+                f"program {self.NAME!r} defines no CFA: build its closure in "
+                "_compile (or write its own step)"
+            )
+
+    def _closure(self) -> CompiledStep:
         if self._compiled_step is None:
             self._compiled_step = self._compile()
         return self._compiled_step
@@ -132,7 +150,7 @@ class _StandardProgram(CfaProgram):
         tuple micro-op becomes its dataclass form, addressed by register
         slot, so the engine stages fetched bytes straight into registers.
         """
-        compiled = self.compiled()
+        compiled = self._closure()
         if ctx.state == STATE_START:
             ctx.scratch = [0] * compiled.nregs  # type: ignore[assignment]
             ctx.state = 0  # type: ignore[assignment]

@@ -25,7 +25,8 @@ pair:
   form (``program.step``) is derived from the same closure, so the
   generic and compiled paths cannot drift apart.
 * **Prebound tier** — mutation programs and any program that writes its
-  own ``step`` get a thin wrapper that captures ``program.step`` once and
+  own ``step`` (a built-in lookup's subclass that overrides ``step``
+  included: its ``compiled()`` is None) get a thin wrapper that captures ``program.step`` once and
   converts its :class:`StepOutcome` into the tuple protocol (``K_ACTION``
   delegates timed write-path micro-ops back to the generic issue path).
   They skip the per-step firmware probe and ride the batched drain, but

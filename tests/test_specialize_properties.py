@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro import small_config
 from repro.core.abort import AbortCode
+from repro.core.accelerator import QueryRequest
 from repro.core.cfa import (
     OP_DELETE,
     OP_INSERT,
@@ -618,6 +619,35 @@ def test_subclassed_program_reuses_parent_closure():
         parent, parent.compiled(), structure.header_addr, key_addr, mem.space
     )
     assert trace[-1] == ("done", 1002)
+
+    # A subclass that writes its own step runs that step, not the inherited
+    # closure: it lands on the prebound tier in the default config too.
+    class Counted(LinkedListCfa):
+        def __init__(self):
+            self.steps = 0
+
+        def step(self, ctx):
+            self.steps += 1
+            return super().step(ctx)
+
+    counted = Counted()
+    assert counted.compiled() is None
+    system = System(small_config())
+    structure, _ = _build_linked_list(
+        system.mem, [(_key(1), 1001), (_key(2), 1002)]
+    )
+    system.firmware.register(counted, replace=True)
+    assert compile_firmware(system.firmware)[0][counted.TYPE_CODE].prebound
+    handle = system.accelerator.submit(
+        QueryRequest(
+            header_addr=structure.header_addr,
+            key_addr=structure.store_key(_key(2)),
+        ),
+        system.engine.now,
+    )
+    system.accelerator.wait_for(handle)
+    assert handle.value == 1002
+    assert counted.steps > 0, "the override ran"
 
 
 def test_compile_firmware_covers_registered_tables():
